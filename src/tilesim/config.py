@@ -46,14 +46,6 @@ class CacheGeometry:
             if assoc < 1 or lines % assoc:
                 raise ConfigError(f"{name} associativity must divide its line count")
 
-    @property
-    def l15_sets(self) -> int:
-        return self.l15_size_bytes // self.line_size_bytes // self.l15_associativity
-
-    @property
-    def l2_sets(self) -> int:
-        return self.l2_slice_size_bytes // self.line_size_bytes // self.l2_associativity
-
 
 @dataclass
 class TimingConfig:
@@ -74,8 +66,10 @@ class TimingConfig:
                      "l15_to_l2_cycles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.dram_jitter_cycles < 0:
-            raise ConfigError("dram_jitter_cycles must be >= 0")
+        for name in ("dram_jitter_cycles", "alu_cycles", "branch_cycles", "jump_cycles",
+                     "fence_cycles", "system_cycles"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.dram_jitter_cycles >= self.dram_access_cycles:
             raise ConfigError("dram jitter must be smaller than the access time")
 
@@ -85,15 +79,12 @@ class MeshConfig:
     width: int = 2
     height: int = 1
     hop_cycles: int = 1
-    buffer_depth: int = 4
 
     def validate(self):
         if self.width < 1 or self.height < 1:
             raise ConfigError("mesh dimensions must be >= 1")
         if self.hop_cycles < 1:
             raise ConfigError("hop_cycles must be >= 1")
-        if self.buffer_depth < 1:
-            raise ConfigError("buffer_depth must be >= 1")
 
 
 @dataclass
@@ -112,7 +103,6 @@ class MachineConfig:
     dram_size: int = 16 * 1024 * 1024
     sim_cycle_limit: int = 200_000_000
     check_data_values: bool = True
-    host_endianness: str = "big"  # big exercises the cross-endian path
 
     def validate(self):
         self.mesh.validate()
@@ -137,8 +127,6 @@ class MachineConfig:
             raise ConfigError("guest region exceeds the physical map")
         if self.stack_size < 1024 or self.stack_size >= self.guest_region_size:
             raise ConfigError("stack_size must be in [1024, region size)")
-        if self.host_endianness not in ("big", "little"):
-            raise ConfigError("host_endianness must be 'big' or 'little'")
 
     @property
     def rng_seed(self) -> int:
@@ -150,24 +138,19 @@ class MachineConfig:
     def host_tile(self) -> int:
         return self.tiles.index(HOST_AGENT)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _from_dict(cls, data: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    fields = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in fields:
             raise ConfigError(f"unknown config key {path}{key}")
-        ftype = fields[key].type
         if key in ("mesh", "cache", "timing"):
             sub = {"mesh": MeshConfig, "cache": CacheGeometry, "timing": TimingConfig}[key]
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}{key} must be an object")
             value = _from_dict(sub, value, f"{path}{key}.")
         kwargs[key] = value
-        del ftype
     return cls(**kwargs)
 
 

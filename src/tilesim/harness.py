@@ -226,10 +226,10 @@ def run_latency_probe(config: MachineConfig, jitter: bool = True,
 # -- benchmarks -------------------------------------------------------------------
 
 
-def run_bench(name: str, config: MachineConfig, trace_path: str | None = None,
-              collect_log: bool = False) -> tuple[RunStats, Machine]:
+def run_bench(name: str, config: MachineConfig,
+              trace_path: str | None = None) -> tuple[RunStats, Machine]:
     blob = corpus.bench_elf(name, config)
-    machine = Machine(config, binary=blob, trace_path=trace_path, collect_log=collect_log)
+    machine = Machine(config, binary=blob, trace_path=trace_path)
     stats = machine.run()
     if machine.trap:
         raise SimError(f"benchmark {name} trapped: {machine.trap}")

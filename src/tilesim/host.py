@@ -21,7 +21,7 @@ from .config import MAILBOX_SIZE, MachineConfig
 from .elf import ElfImage
 from .errors import LoadError, SimError
 from .mailbox import HostMailbox
-from .mem.fabric import FabricPort, flip
+from .mem.fabric import FabricPort
 from .syscalls import ExitRequest, SyscallHandler
 
 
@@ -74,16 +74,12 @@ class GuestImage:
 
 
 class HostAgent:
-    PHASES = ("setup", "load", "start", "service", "done")
-
     def __init__(self, machine, tile: int, guest_tile: int):
         self.machine = machine
         self.config: MachineConfig = machine.config
         self.tile = tile
         self.guest_tile = guest_tile
-        self.big = self.config.host_endianness == "big"
-        mode = "big" if self.big else "little"
-        self.port = FabricPort(machine.fabric, tile, mode=mode, enforce_windows=True)
+        self.port = FabricPort(machine.fabric, tile, enforce_windows=True)
         self.port.now_fn = lambda: self.time
         self.time = 0
         self.next_time = 0
@@ -103,12 +99,8 @@ class HostAgent:
     def _charge(self, latency: int):
         self.time += latency
 
-    def _store_word(self, addr: int, guest_value: int):
-        value = flip(guest_value, 4) if self.big else guest_value
-        self._charge(self.port.store(addr, 4, value))
-
-    def _store_byte(self, addr: int, value: int):
-        self._charge(self.port.store(addr, 1, value))
+    def _store(self, addr: int, width: int, value: int):
+        self._charge(self.port.store(addr, width, value))
 
     def read_guest_bytes(self, addr: int, count: int) -> bytes:
         """Coherent byte-wise read of guest memory (for syscall payloads)."""
@@ -116,12 +108,12 @@ class HostAgent:
         for i in range(count):
             value, lat = self.port.load(addr + i, 1)
             self._charge(lat)
-            out.append(flip(value, 1) if self.big else value)  # width-1 flip: identity
+            out.append(value)
         return bytes(out)
 
     def write_guest_bytes(self, addr: int, data: bytes):
         for i, b in enumerate(data):
-            self._store_byte(addr + i, b)
+            self._store(addr + i, 1, b)
 
     # -- the spec'd operations ------------------------------------------------------
 
@@ -143,8 +135,7 @@ class HostAgent:
         if self.machine.fabric.shadow is not None:
             self.machine.fabric.shadow[base : base + size] = b"\x00" * size
         self.region = region
-        self.mailbox = HostMailbox(self.port, region.mailbox_addr, big=self.big,
-                                   charge=self._charge)
+        self.mailbox = HostMailbox(self.port, region.mailbox_addr, charge=self._charge)
         self._charge(1)
         self._trace(f"HOST cycle={self.time} step=1 setup base=0x{base:08x} size=0x{size:x}")
         return region
@@ -157,14 +148,13 @@ class HostAgent:
             addr, data = seg.vaddr, seg.data
             i = 0
             while i < len(data) and (addr + i) % 4:
-                self._store_byte(addr + i, data[i])
+                self._store(addr + i, 1, data[i])
                 i += 1
             while i + 4 <= len(data):
-                word = int.from_bytes(data[i : i + 4], "little")
-                self._store_word(addr + i, word)
+                self._store(addr + i, 4, int.from_bytes(data[i : i + 4], "little"))
                 i += 4
             while i < len(data):
-                self._store_byte(addr + i, data[i])
+                self._store(addr + i, 1, data[i])
                 i += 1
             # the memsz tail past filesz stays zero from setup's zero-fill
         self.image = image
@@ -234,6 +224,7 @@ class HostAgent:
             self.handler.heap_start = image.heap_start
             self.handler.heap_end = image.heap_start
             self.handler.heap_limit = self.region.mailbox_addr - image.stack_size
+            self.handler.guest_top = self.region.top
             self.phase = "start"
         elif self.phase == "start":
             self.pico_start(self.region)

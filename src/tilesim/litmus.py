@@ -88,7 +88,7 @@ def _mini_machine(n_agents: int) -> tuple[MemoryFabric, list[FabricPort]]:
     )
     cfg.validate()
     fabric = MemoryFabric(cfg, Noc(cfg.mesh, len(tiles)))
-    ports = [FabricPort(fabric, tile, mode="guest") for tile in range(1, n_agents + 1)]
+    ports = [FabricPort(fabric, tile) for tile in range(1, n_agents + 1)]
     return fabric, ports
 
 

@@ -19,7 +19,7 @@ from .host import HostAgent
 from .mailbox import OFF_STATUS, STATUS_EMPTY, STATUS_REQUESTED
 from .mem.fabric import FabricPort, MemoryFabric
 from .noc import Noc
-from .rv32 import InstructionTiming, RunState, Rv32Core
+from .rv32 import RunState, Rv32Core
 
 STATS_SCHEMA_VERSION = 1
 
@@ -43,17 +43,9 @@ class CoreAgent:
         self.machine = machine
         self.tile = tile
         cfg = machine.config
-        timing = InstructionTiming(
-            alu_cycles=cfg.timing.alu_cycles,
-            branch_cycles=cfg.timing.branch_cycles,
-            jump_cycles=cfg.timing.jump_cycles,
-            fence_cycles=cfg.timing.fence_cycles,
-            system_cycles=cfg.timing.system_cycles,
-            load_store_cycles=cfg.timing.load_store_exec_cycles,
-        )
-        self.port = FabricPort(machine.fabric, tile, mode="guest")
+        self.port = FabricPort(machine.fabric, tile)
         self.port.now_fn = lambda: self.time
-        self.core = Rv32Core(port=self.port, reset_vector=cfg.reset_vector, timing=timing)
+        self.core = Rv32Core(port=self.port, reset_vector=cfg.reset_vector, timing=cfg.timing)
         self.time = 0
         self.next_time: int | None = None  # held in reset: nothing scheduled
 
@@ -75,19 +67,16 @@ class CoreAgent:
 
 class Machine:
     def __init__(self, config: MachineConfig, binary: bytes | None = None,
-                 sandbox_dir: str | None = None, trace_path: str | None = None,
-                 collect_log: bool = False, echo_stdout=None):
+                 sandbox_dir: str | None = None, trace_path: str | None = None):
         config.validate()
         self.config = config
         self.binary = binary
         self.sandbox_dir = sandbox_dir or config.sandbox_dir
         self._trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
         self.trace = self._emit_trace if self._trace_file else None
-        self.echo_stdout = echo_stdout
 
         self.noc = Noc(config.mesh, len(config.tiles), trace=self.trace)
         self.fabric = MemoryFabric(config, self.noc, trace=self.trace)
-        self.fabric.keep_log = collect_log
 
         self.cores: dict[int, CoreAgent] = {}
         for tile, kind in enumerate(config.tiles):
@@ -124,8 +113,6 @@ class Machine:
 
     def write_stdout(self, data: bytes):
         self.stdout_data += data
-        if self.echo_stdout:
-            self.echo_stdout(data)
 
     def write_stderr(self, data: bytes):
         self.stderr_data += data
@@ -226,12 +213,3 @@ class Machine:
         counters.update(self.noc.counts())
         return RunStats(counters)
 
-
-def run_binary(config: MachineConfig, binary: bytes, sandbox_dir: str | None = None,
-               trace_path: str | None = None, echo_stdout=None,
-               collect_log: bool = False) -> tuple[RunStats, Machine]:
-    machine = Machine(config, binary=binary, sandbox_dir=sandbox_dir,
-                      trace_path=trace_path, echo_stdout=echo_stdout,
-                      collect_log=collect_log)
-    stats = machine.run()
-    return stats, machine

@@ -15,8 +15,8 @@ until DONE, read return_value/errno, write status=EMPTY. Status is written
 last when requesting and first (and only) when releasing, so over a
 sequentially consistent fabric no side ever observes a half-written record.
 
-The host side never touches the mailbox except through its port; in big
-mode every field crosses the flip helpers.
+The host side never touches the mailbox except through its port, which
+composes every field little-endian, as stored.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SimError
-from .mem.fabric import FabricPort, flip
+from .mem.fabric import FabricPort
 
 MAILBOX_BYTES = 64
 MAILBOX_ALIGN = 64
@@ -49,28 +49,23 @@ class SyscallRequest:
 
 
 class HostMailbox:
-    """Host-side view. `big` selects raw big-endian port words + flip helpers.
-    `charge` (if given) receives the latency of every fabric access made."""
+    """Host-side view. `charge` (if given) receives the latency of every
+    fabric access made."""
 
-    def __init__(self, port: FabricPort, base: int, big: bool = True, charge=None):
+    def __init__(self, port: FabricPort, base: int, charge=None):
         if base % MAILBOX_ALIGN:
             raise SimError(f"mailbox base 0x{base:x} is not 64-byte aligned")
-        if port.mode not in ("big", "little"):
-            raise SimError("host mailbox needs a host-mode port")
         self.port = port
         self.base = base
-        self.big = big
         self.charge = charge or (lambda _lat: None)
 
     def _read(self, offset: int) -> int:
-        raw, lat = self.port.load(self.base + offset, 4)
+        value, lat = self.port.load(self.base + offset, 4)
         self.charge(lat)
-        return flip(raw, 4) if self.big else raw
+        return value
 
     def _write(self, offset: int, value: int):
-        value &= 0xFFFFFFFF
-        lat = self.port.store(self.base + offset, 4, flip(value, 4) if self.big else value)
-        self.charge(lat)
+        self.charge(self.port.store(self.base + offset, 4, value & 0xFFFFFFFF))
 
     def poll(self) -> SyscallRequest | None:
         """Decode a pending request; never mutates the mailbox."""
@@ -99,8 +94,6 @@ class GuestRequester:
     """
 
     def __init__(self, port: FabricPort, base: int):
-        if port.mode != "guest":
-            raise SimError("guest requester needs a guest-mode port")
         self.port = port
         self.base = base
         self._gen = None

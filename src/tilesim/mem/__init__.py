@@ -10,8 +10,6 @@ from .fabric import (
     SERVICED_DRAM,
     SERVICED_L15,
     SERVICED_L2,
-    flip,
-    transduce,
 )
 
 __all__ = [
@@ -28,6 +26,4 @@ __all__ = [
     "SERVICED_DRAM",
     "SERVICED_L15",
     "SERVICED_L2",
-    "flip",
-    "transduce",
 ]

@@ -23,10 +23,12 @@ Modified evictions write back on channel 3 and are never silent, so ownership
 is never stale. L2 evictions recall the line from any holders first
 (inclusion), then write DRAM.
 
-Byte lanes: the fabric's canonical word order is big-endian (host-style); the
-guest-side transducer flips lanes in both directions so guest data is stored
-little-endian in memory. Host ports return raw fabric words in big mode, and
-host code applies the flip helpers itself.
+Byte lanes: the little-endian guest core reaches the big-endian fabric through
+a byte-lane converter whose effect is that guest data is stored little-endian
+in address order. The model applies that effect at the port, at zero cycles:
+FabricPort composes and splits every value little-endian, for fetches, loads
+and stores and for guest and host ports alike, so no caller chooses or undoes
+a byte order.
 """
 
 from __future__ import annotations
@@ -50,29 +52,12 @@ KIND_STORE = "store"
 _DIR_INPUTS = {"GetShared", "GetModified", "Writeback", "InvalidateAck", "DowngradeAck"}
 
 
-def transduce(value: int, width: int, direction: str = "outbound") -> int:
-    """Byte-lane flip between the little-endian core and the big-endian fabric.
-
-    An involution: the same flip applies outbound (core store -> fabric word)
-    and inbound (fabric word -> core load).
-    """
-    if direction not in ("outbound", "inbound"):
-        raise SimError(f"bad transducer direction {direction!r}")
-    return int.from_bytes(value.to_bytes(width, "big"), "little")
-
-
-def flip(value: int, width: int) -> int:
-    """Host-side endianness helper: byte-reverse a width-byte value."""
-    return int.from_bytes(value.to_bytes(width, "big"), "little")
-
-
 @dataclass
 class MemoryTransaction:
     origin: int
     address: int
     width: int
     kind: str
-    payload: int | None = None
     issue_cycle: int = 0
     complete_cycle: int = 0
     serviced_by: str = SERVICED_L15
@@ -105,24 +90,19 @@ class _Pending:
 
 
 class FabricPort:
-    """Per-agent access port.
-
-    mode "guest": values cross the lane-flipping transducer (little-endian
-    core). mode "big"/"little": raw fabric words for the host agent, which is
-    responsible for its own flip-helper discipline. Host ports are confined to
+    """Per-agent access port; values are little-endian compositions of the
+    bytes at addr, addr+1, ... Host ports (enforce_windows) are confined to
     registered shared windows; the guest addresses physical memory freely.
     A tile outside the fabric raises ConfigError when the port is built.
     """
 
-    def __init__(self, fabric: MemoryFabric, tile: int, mode: str = "guest",
-                 enforce_windows: bool = False):
+    def __init__(self, fabric: MemoryFabric, tile: int, enforce_windows: bool = False):
         if not 0 <= tile < fabric.n_tiles:
             raise ConfigError(
                 f"port tile {tile} is not on the fabric ({fabric.n_tiles} tiles)"
             )
         self.fabric = fabric
         self.tile = tile
-        self.mode = mode
         self.enforce_windows = enforce_windows
         self.now_fn = lambda: 0
 
@@ -132,31 +112,17 @@ class FabricPort:
 
     def fetch(self, addr: int) -> tuple[int, int]:
         data, tx = self.fabric.access(self.tile, KIND_IFETCH, addr, 4, now=self.now_fn())
-        word = int.from_bytes(data, "big")
-        return transduce(word, 4, "inbound"), tx.latency
+        return int.from_bytes(data, "little"), tx.latency
 
     def load(self, addr: int, width: int) -> tuple[int, int]:
         self._check_window(addr, width)
         data, tx = self.fabric.access(self.tile, KIND_LOAD, addr, width, now=self.now_fn())
-        raw = int.from_bytes(data, "big")
-        if self.mode == "guest":
-            return transduce(raw, width, "inbound"), tx.latency
-        if self.mode == "little":
-            return int.from_bytes(data, "little"), tx.latency
-        return raw, tx.latency
+        return int.from_bytes(data, "little"), tx.latency
 
     def store(self, addr: int, width: int, value: int) -> int:
         self._check_window(addr, width)
-        if self.mode == "guest":
-            raw = transduce(value, width, "outbound")
-            data = raw.to_bytes(width, "big")
-        elif self.mode == "little":
-            data = value.to_bytes(width, "little")
-        else:
-            data = value.to_bytes(width, "big")
-        _, tx = self.fabric.access(
-            self.tile, KIND_STORE, addr, width, data=data, now=self.now_fn()
-        )
+        _, tx = self.fabric.access(self.tile, KIND_STORE, addr, width,
+                                   data=value.to_bytes(width, "little"), now=self.now_fn())
         return tx.latency
 
 
@@ -180,8 +146,6 @@ class MemoryFabric:
         self.watches: dict[int, list] = {}
         self.shadow = bytearray(config.dram_size) if config.check_data_values else None
         self.stats: dict[str, int] = {}
-        self.log: list[MemoryTransaction] = []
-        self.keep_log = False
         self._serviced: str | None = None
         self._dram_latency = 0
 
@@ -283,7 +247,6 @@ class MemoryFabric:
 
         tx = MemoryTransaction(
             origin=tile, address=addr, width=width, kind=kind,
-            payload=int.from_bytes(out, "big") if kind == KIND_STORE else None,
             issue_cycle=now, complete_cycle=now + latency, serviced_by=serviced,
         )
         self._check_line_invariants(line_addr)
@@ -294,8 +257,6 @@ class MemoryFabric:
                 f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={width}"
                 f" value=0x{out.hex()} serviced={serviced} latency={latency}"
             )
-        if self.keep_log:
-            self.log.append(tx)
         if kind == KIND_STORE and addr in self.watches:
             for cb in self.watches[addr]:
                 cb(addr, out, tx)

@@ -37,14 +37,6 @@ CHANNEL_OF = {
     "Interrupt": CH_WB_IRQ,
 }
 
-# coarse kind as carried in traces/stats
-KIND_OF = {
-    CH_REQ: "coherence-req",
-    CH_RESP: "coherence-resp",
-    CH_WB_IRQ: "writeback",
-}
-
-
 @dataclass
 class NocMessage:
     channel: int
@@ -56,10 +48,6 @@ class NocMessage:
     irq: str | None = None  # "start" | "ipi" for interrupts
     inject_cycle: int = 0
     seq: int = 0
-
-    @property
-    def kind(self) -> str:
-        return "interrupt" if self.subkind == "Interrupt" else KIND_OF[self.channel]
 
 
 @dataclass

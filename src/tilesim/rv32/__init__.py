@@ -1,12 +1,11 @@
 from .insn import CSR_CYCLE, CSR_CYCLEH, DecodeError, Instruction, OpClass, decode, sext
-from .core import InstructionTiming, RunState, Rv32Core, StepResult
+from .core import RunState, Rv32Core, StepResult
 
 __all__ = [
     "CSR_CYCLE",
     "CSR_CYCLEH",
     "DecodeError",
     "Instruction",
-    "InstructionTiming",
     "OpClass",
     "RunState",
     "Rv32Core",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..config import TimingConfig
 from ..errors import DecodeError, MemoryFault, SimError
 from .insn import (
     CSR_CYCLE,
@@ -35,42 +36,6 @@ from .insn import (
 )
 
 M32 = 0xFFFFFFFF
-
-
-@dataclass
-class InstructionTiming:
-    """Execution cycles per instruction class (fetch and data not included).
-
-    All entries must be >= 0 and load/store >= 1. The CSR-read entry defaults
-    to zero; see the module docstring for why the probe arithmetic demands it.
-    """
-
-    alu_cycles: int = 3  # OP, OP-IMM, LUI, AUIPC
-    branch_cycles: int = 3  # taken and not-taken
-    jump_cycles: int = 3  # JAL, JALR
-    fence_cycles: int = 1
-    system_cycles: int = 0  # CSR reads; ecall/ebreak halt anyway
-    load_store_cycles: int = 5
-
-    def validate(self):
-        for name, value in vars(self).items():
-            if value < 0:
-                raise SimError(f"instruction timing {name} must be >= 0, got {value}")
-        if self.load_store_cycles < 1:
-            raise SimError("load_store_cycles must be >= 1")
-
-    def cycles_for(self, opclass: OpClass) -> int:
-        if opclass in (OpClass.OP, OpClass.OP_IMM, OpClass.LUI, OpClass.AUIPC):
-            return self.alu_cycles
-        if opclass is OpClass.BRANCH:
-            return self.branch_cycles
-        if opclass in (OpClass.JAL, OpClass.JALR):
-            return self.jump_cycles
-        if opclass is OpClass.FENCE:
-            return self.fence_cycles
-        if opclass is OpClass.SYSTEM:
-            return self.system_cycles
-        return self.load_store_cycles
 
 
 class RunState(enum.Enum):
@@ -96,12 +61,13 @@ class Rv32Core:
     `port` is any object with fetch(addr) -> (word, cycles),
     load(addr, width) -> (value, cycles) and store(addr, width, value) -> cycles,
     raising MemoryFault on bad addresses. Values are little-endian-composed
-    integers; the fabric's transducer handles byte lanes.
+    integers, as the fabric port composes them. Execution cycles per
+    instruction class come from `timing` (fetch and data not included).
     """
 
     port: object
     reset_vector: int = 0x0001_0000
-    timing: InstructionTiming = field(default_factory=InstructionTiming)
+    timing: TimingConfig = field(default_factory=TimingConfig)
     pc: int = 0
     regs: list[int] = field(default_factory=lambda: [0] * 32)
     cycle_counter: int = 0
@@ -111,7 +77,17 @@ class Rv32Core:
     ignored_start_interrupts: int = 0
 
     def __post_init__(self):
-        self.timing.validate()
+        t = self.timing
+        t.validate()
+        self.exec_cycles = {
+            OpClass.OP: t.alu_cycles, OpClass.OP_IMM: t.alu_cycles,
+            OpClass.LUI: t.alu_cycles, OpClass.AUIPC: t.alu_cycles,
+            OpClass.BRANCH: t.branch_cycles,  # taken and not-taken
+            OpClass.JAL: t.jump_cycles, OpClass.JALR: t.jump_cycles,
+            OpClass.FENCE: t.fence_cycles,
+            OpClass.SYSTEM: t.system_cycles,  # CSR reads; ecall/ebreak halt anyway
+            OpClass.LOAD: t.load_store_exec_cycles, OpClass.STORE: t.load_store_exec_cycles,
+        }
 
     # -- run-state transitions -------------------------------------------------
 
@@ -175,7 +151,7 @@ class Rv32Core:
             insn = decode(word, pc)
         except DecodeError as err:
             raise _Trap(str(err), f_cycles) from err
-        e_cycles = self.timing.cycles_for(insn.opclass)
+        e_cycles = self.exec_cycles[insn.opclass]
         d_cycles = 0
 
         regs = self.regs

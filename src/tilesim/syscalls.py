@@ -2,7 +2,8 @@
 
 Numbering follows the standard RISC-V Linux/newlib table. File-backed calls
 are confined to the sandbox directory; escapes (absolute paths, ..) are
-refused with EACCES rather than resolved. 64-bit host results that do not fit
+refused with EACCES rather than resolved. A guest pointer that reaches outside
+guest memory fails the call with EFAULT. 64-bit host results that do not fit
 the 32-bit mailbox field are truncated with a logged warning.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import errno as host_errno
 import os
 from dataclasses import dataclass, field
+
+from .errors import MemoryFault
 
 SYS_OPENAT = 56
 SYS_CLOSE = 57
@@ -57,7 +60,8 @@ class SyscallHandler:
     """Performs one decoded request against the host OS.
 
     `read_bytes(addr, n)` / `write_bytes(addr, data)` reach guest memory
-    through the host agent's coherent port. The heap bounds implement brk.
+    through the host agent's coherent port. The heap bounds implement brk;
+    `guest_top`, when set, ends path copies at the top of guest memory.
     """
 
     sandbox_dir: str
@@ -69,6 +73,7 @@ class SyscallHandler:
     heap_limit: int = 0
     log: object = None  # callable(str) or None
     heap_end: int = 0
+    guest_top: int = field(default=0, init=False)  # 0: path copies are not cut
     fds: dict[int, int] = field(default_factory=dict)
     _next_fd: int = 3
 
@@ -100,6 +105,8 @@ class SyscallHandler:
                 return self._brk(args[0])
         except OSError as err:
             return -1, err.errno or host_errno.EIO
+        except MemoryFault:
+            return -1, host_errno.EFAULT
         self._warn(f"unknown syscall {number}")
         return -1, host_errno.ENOSYS
 
@@ -150,8 +157,13 @@ class SyscallHandler:
     def _openat(self, dirfd, pathptr, flags, mode):
         if _s32(dirfd) != _s32(AT_FDCWD):
             raise OSError(host_errno.EBADF, "only AT_FDCWD is supported")
-        raw = self.read_bytes(pathptr, MAX_PATH)
+        count = MAX_PATH
+        if pathptr < self.guest_top:
+            count = min(count, self.guest_top - pathptr)
+        raw = self.read_bytes(pathptr, count)
         end = raw.find(b"\x00")
+        if end < 0 and count < MAX_PATH:
+            raise MemoryFault(pathptr + count, "path runs past the top of guest memory")
         if end < 0:
             raise OSError(host_errno.ENAMETOOLONG, "unterminated path")
         path = raw[:end].decode("utf-8", "replace")

@@ -118,7 +118,7 @@ def _semantics_oracle_1000(config, rng):
     machine = Machine(cfg, binary=blob)
     machine.run()
     assert "ecall" in (machine.trap or ""), machine.trap
-    port = FabricPort(machine.fabric, cfg.guest_tile(), mode="guest")
+    port = FabricPort(machine.fabric, cfg.guest_tile())
     for i, want in enumerate(expected):
         got, _ = port.load(buffer_base + 4 * i, 4)
         assert got == want, f"case {i}: got {got:#x}, reference {want:#x}"
@@ -188,7 +188,7 @@ def test_criterion_4_syscall_proxy_end_to_end(config, tmp_path):
                     timer = rng.randint(1, 200)
             assert result == (number + 1, 0)
         assert len(serviced) == 1000
-        port = FabricPort(fabric, 0, mode="little")
+        port = FabricPort(fabric, 0)
         for off in range(mb.OFF_RESERVED, mb.MAILBOX_BYTES, 4):
             assert port.load(test_mailbox.MB_BASE + off, 4)[0] == 0
 

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tilesim import corpus
 from tilesim.cli import main
-from tilesim.config import MachineConfig
+from tilesim.config import MachineConfig, load_config
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,17 @@ def test_config_file_round_trip(hello_path, tmp_path, capsys):
     code = run_cli(["run", "--binary", hello_path, "--config", str(bad_cfg)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The README's configuration example names only keys load_config knows."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    start = section.index("\n    {\n") + 1
+    end = section.index("\n    }\n", start) + len("\n    }")
+    cfg_path = tmp_path / "readme.json"
+    cfg_path.write_text(section[start:end])
+    assert load_config(str(cfg_path)) == MachineConfig()
 
 
 def test_latency_probe_no_jitter(capsys):

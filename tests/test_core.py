@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import rvoracle
 from tilesim.asm import assemble
-from tilesim.errors import MemoryFault, SimError
-from tilesim.rv32 import InstructionTiming, RunState, Rv32Core
+from tilesim.config import TimingConfig, load_config
+from tilesim.errors import ConfigError, MemoryFault, SimError
+from tilesim.rv32 import RunState, Rv32Core
 
 
 class FlatPort:
@@ -262,10 +263,17 @@ def test_determinism_same_program_same_counters():
 
 
 def test_timing_table_validation():
-    with pytest.raises(SimError):
-        InstructionTiming(alu_cycles=-1).validate()
-    with pytest.raises(SimError):
-        InstructionTiming(load_store_cycles=0).validate()
+    with pytest.raises(ConfigError, match="alu_cycles"):
+        TimingConfig(alu_cycles=-1).validate()
+    with pytest.raises(ConfigError, match="load_store_exec_cycles"):
+        TimingConfig(load_store_exec_cycles=0).validate()
+
+
+def test_bad_class_timing_fails_at_config_load(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"timing": {"alu_cycles": -1}}')
+    with pytest.raises(ConfigError, match="alu_cycles"):
+        load_config(str(path))
 
 
 # -- property tests ------------------------------------------------------------

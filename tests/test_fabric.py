@@ -1,4 +1,4 @@
-"""Memory fabric: latencies, endianness transduction, MSI coherence, LRU,
+"""Memory fabric: latencies, little-endian byte lanes, MSI coherence, LRU,
 inclusion, and the data-value invariant against an independent flat model."""
 
 import random
@@ -15,8 +15,6 @@ from tilesim.mem import (
     SERVICED_DRAM,
     SERVICED_L15,
     SERVICED_L2,
-    flip,
-    transduce,
 )
 from tilesim.noc import Noc
 
@@ -38,44 +36,19 @@ def make_fabric(n_guests=1, jitter=0, seed=0, trace=None, **timing_kw):
 
 
 def guest_port(fabric, tile=1):
-    return FabricPort(fabric, tile, mode="guest")
+    return FabricPort(fabric, tile)
 
 
 # -- endianness ---------------------------------------------------------------
 
 
-def test_flip32_definition():
-    assert transduce(0x11223344, 4) == 0x44332211
-    assert flip(0x11223344, 4) == 0x44332211
-    assert flip(0x1122, 2) == 0x2211
-
-
-@given(st.integers(min_value=0, max_value=0xFFFFFFFF))
-def test_flip_is_an_involution(x):
-    assert transduce(transduce(x, 4, "outbound"), 4, "inbound") == x
-
-
-def test_transduce_rejects_bad_direction():
-    with pytest.raises(SimError):
-        transduce(1, 4, "sideways")
-
-
-def test_guest_store_lands_little_endian_host_raw_read_flips():
+def test_guest_store_lands_little_endian_host_reads_value():
     fabric = make_fabric()
-    guest = guest_port(fabric)
-    host = FabricPort(fabric, 0, mode="big")
-    guest.store(0x1000, 4, 0xDEADBEEF)
+    guest_port(fabric).store(0x1000, 4, 0xDEADBEEF)
+    assert bytes(fabric.l15[1].lookup(0x1000).data[0:4]) == b"\xef\xbe\xad\xde"
     assert bytes(fabric.dram[0x1000:0x1004]) == b"\x00" * 4  # still cached, not in DRAM
-    raw, _ = host.load(0x1000, 4)
-    assert raw == 0xEFBEADDE  # raw big-endian view of little-endian bytes
-    assert flip(raw, 4) == 0xDEADBEEF
-
-
-def test_little_endian_host_reads_guest_value_directly():
-    fabric = make_fabric()
-    guest_port(fabric).store(0x1000, 4, 0x12345678)
-    value, _ = FabricPort(fabric, 0, mode="little").load(0x1000, 4)
-    assert value == 0x12345678
+    value, _ = FabricPort(fabric, 0).load(0x1000, 4)
+    assert value == 0xDEADBEEF
 
 
 # -- latencies -----------------------------------------------------------------
@@ -150,7 +123,7 @@ def test_zero_length_window_rejected():
 def test_host_port_confined_to_windows():
     fabric = make_fabric()
     fabric.register_window(0x1000, 0x100)
-    host = FabricPort(fabric, 0, mode="big", enforce_windows=True)
+    host = FabricPort(fabric, 0, enforce_windows=True)
     host.store(0x1000, 4, 1)
     host.load(0x10FC, 4)
     with pytest.raises(MemoryFault):
@@ -197,9 +170,9 @@ def test_host_read_forces_downgrade_and_sees_guest_value():
     fabric = make_fabric()
     fabric.register_window(0x1000, 0x100)
     guest_port(fabric).store(0x1040, 4, 0xCAFEF00D)
-    host = FabricPort(fabric, 0, mode="big", enforce_windows=True)
-    raw, _ = host.load(0x1040, 4)
-    assert flip(raw, 4) == 0xCAFEF00D
+    host = FabricPort(fabric, 0, enforce_windows=True)
+    value, _ = host.load(0x1040, 4)
+    assert value == 0xCAFEF00D
     assert fabric.l15[1].lookup(0x1040).state is LineState.SHARED
 
 

@@ -12,7 +12,6 @@ from tilesim.elf import program_to_elf
 from tilesim.errors import LoadError, SimError
 from tilesim.host import GuestImage, GuestRegion
 from tilesim.machine import Machine
-from tilesim.mem import flip
 from tilesim import elf as elfmod
 from tilesim.syscalls import ExitRequest, SyscallHandler
 
@@ -351,18 +350,59 @@ def test_handler_bad_fd(tmp_path):
     assert (ret, err) == (-1, 9)  # EBADF
 
 
-def test_endianness_mode_does_not_change_results(tmp_path):
-    (tmp_path / "z.txt").write_bytes(b"zz")
-    outputs = []
-    for mode in ("big", "little"):
-        cfg = small_config(host_endianness=mode)
-        src = ('main: addi sp, sp, -16\n sw ra, 12(sp)\n la a0, m\n jal ra, print_str\n'
-               ' lw ra, 12(sp)\n addi sp, sp, 16\n li a0, 11\n ret\n m: .asciz "eq\\n"')
-        m, stats = run_guest(src, str(tmp_path), config=cfg)
-        outputs.append((bytes(m.stdout_data), stats["exit_status"]))
-    assert outputs[0] == outputs[1] == (b"eq\n", 11)
+def test_handler_path_running_off_guest_top_is_efault(tmp_path):
+    handler, mem, _, _ = make_handler(tmp_path)
+    handler.guest_top = 0x108
+    mem.write(0x100, b"abcdefgh")  # no NUL before the top
+    assert handler.handle(56, [-100 & 0xFFFFFFFF, 0x100, 0, 0, 0, 0]) == (-1, 14)
 
 
-def test_flip_helper_definition():
-    assert flip(0x0000_0001, 4) == 0x0100_0000
-    assert flip(flip(0xDEADBEEF, 4), 4) == 0xDEADBEEF
+def test_open_of_stack_built_path_returns_fd(tmp_path):
+    """sp starts at the mailbox base, so a path on the stack has less than
+    MAX_PATH bytes of guest memory above it: the copy stops at the top."""
+    (tmp_path / "f.txt").write_bytes(b"x")
+    src = """
+main:
+    addi sp, sp, -16
+    sw   ra, 12(sp)
+    li   t0, 0x78742e66          # "f.tx"
+    sw   t0, 0(sp)
+    li   t0, 0x74                # "t\\0"
+    sw   t0, 4(sp)
+    li   a0, 56
+    li   a1, -100
+    mv   a2, sp
+    li   a3, 0
+    li   a4, 0
+    jal  ra, __syscall
+    lw   ra, 12(sp)
+    addi sp, sp, 16
+    ret
+"""
+    m, stats = run_guest(src, str(tmp_path))
+    assert m.trap is None
+    assert stats["exit_status"] == 3  # the first guest fd
+
+
+def test_write_with_bad_pointer_returns_efault(tmp_path):
+    src = """
+main:
+    addi sp, sp, -16
+    sw   ra, 12(sp)
+    li   a0, 64
+    li   a1, 1
+    li   a2, 0x00FFFFF0
+    li   a3, 4
+    jal  ra, __syscall
+    # a0 = -1, a1 = EFAULT(14): return a1 - 13 => 1, and a0 + 2 => 1
+    addi t0, a1, -13
+    addi t1, a0, 2
+    add  a0, t0, t1
+    lw   ra, 12(sp)
+    addi sp, sp, 16
+    ret
+"""
+    m, stats = run_guest(src, str(tmp_path))
+    assert m.trap is None
+    assert stats["exit_status"] == 2  # 1 + 1: errno was 14 and ret was -1
+    assert bytes(m.stdout_data) == b""

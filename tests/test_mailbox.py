@@ -26,11 +26,10 @@ def make_fabric():
 MB_BASE = 0x40000  # 64-byte aligned scratch area
 
 
-def make_pair(big=True):
+def make_pair():
     fabric, _ = make_fabric()
-    guest = mb.GuestRequester(FabricPort(fabric, 1, mode="guest"), MB_BASE)
-    host_mode = "big" if big else "little"
-    host = mb.HostMailbox(FabricPort(fabric, 0, mode=host_mode), MB_BASE, big=big)
+    guest = mb.GuestRequester(FabricPort(fabric, 1), MB_BASE)
+    host = mb.HostMailbox(FabricPort(fabric, 0), MB_BASE)
     return fabric, guest, host
 
 
@@ -97,7 +96,7 @@ def test_guest_request_while_busy_asserts():
     guest.start(64, [])
     for _ in range(12):
         guest.step()  # walks past the status write without the host replying
-    second = mb.GuestRequester(FabricPort(fabric, 1, mode="guest"), MB_BASE)
+    second = mb.GuestRequester(FabricPort(fabric, 1), MB_BASE)
     second.start(64, [])
     with pytest.raises(SimError, match="busy"):
         second.step()
@@ -149,7 +148,7 @@ def test_fuzz_1000_syscalls_random_poll_intervals():
         serviced.append(number)
         return (number ^ args[0]) & 0x7FFFFFFF, number & 0xFF
 
-    reserved_port = FabricPort(fabric, 0, mode="little")
+    reserved_port = FabricPort(fabric, 0)
     poll_timer = rng.randint(1, 200)
     for serial in range(1000):
         number = rng.choice([64, 63, 57, 80, 9999, 0, 214]) + serial % 3
@@ -177,22 +176,7 @@ def _assert_reserved_zero(port):
         assert value == 0, f"reserved word at +{off} dirtied"
 
 
-def test_endianness_transparency():
-    """Host mode big vs little: identical results for identical requests."""
-    outcomes = []
-    for big in (True, False):
-        fabric, guest, host = make_pair(big=big)
-        results = []
-        for number in (64, 93, 9999):
-            results.append(
-                mb.guest_request(guest.port, MB_BASE, number, [number * 3],
-                                 host_service=lambda: _serve(host, lambda n, a: (n + a[0], 5)))
-            )
-        outcomes.append(results)
-    assert outcomes[0] == outcomes[1]
-
-
 def test_alignment_enforced():
     fabric, _, _ = make_pair()
     with pytest.raises(SimError, match="aligned"):
-        mb.HostMailbox(FabricPort(fabric, 0, mode="big"), MB_BASE + 4)
+        mb.HostMailbox(FabricPort(fabric, 0), MB_BASE + 4)
