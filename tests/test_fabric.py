@@ -42,13 +42,24 @@ def guest_port(fabric, tile=1):
 # -- endianness ---------------------------------------------------------------
 
 
-def test_guest_store_lands_little_endian_host_reads_value():
+def test_guest_store_lands_little_endian_host_raw_read_flips():
     fabric = make_fabric()
     guest_port(fabric).store(0x1000, 4, 0xDEADBEEF)
     assert bytes(fabric.l15[1].lookup(0x1000).data[0:4]) == b"\xef\xbe\xad\xde"
     assert bytes(fabric.dram[0x1000:0x1004]) == b"\x00" * 4  # still cached, not in DRAM
+    host = FabricPort(fabric, 0)
+    lanes = bytes(host.load(0x1000 + i, 1)[0] for i in range(4))
+    assert lanes == b"\xef\xbe\xad\xde"
+    raw = int.from_bytes(lanes, "big")  # big-endian view of little-endian bytes
+    assert raw == 0xEFBEADDE
+    assert int.from_bytes(raw.to_bytes(4, "big"), "little") == 0xDEADBEEF
+
+
+def test_little_endian_host_reads_guest_value_directly():
+    fabric = make_fabric()
+    guest_port(fabric).store(0x1000, 4, 0x12345678)
     value, _ = FabricPort(fabric, 0).load(0x1000, 4)
-    assert value == 0xDEADBEEF
+    assert value == 0x12345678
 
 
 # -- latencies -----------------------------------------------------------------
