@@ -1,6 +1,7 @@
 """Microbenchmark corpus: functional results, the working-set miss-rate
 ordering, and the full-corpus trace replay against the flat-memory oracle."""
 
+import dataclasses
 import re
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import flat_oracle
 from tilesim.config import MachineConfig
 from tilesim.harness import l15_data_miss_rate, run_bench
+from test_golden import corpus_digests, load_golden
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +91,19 @@ def test_seed_changes_binsearch_keys(config):
     assert out2.startswith(b"found=10")
     # probe counts differ for different key sets (overwhelmingly likely)
     assert out1 != out2
+
+
+@pytest.mark.parametrize("seed", [0, 99])
+def test_corpus_matches_golden(seed, request, config, tmp_path):
+    golden = load_golden("corpus.json")[str(seed)]
+    if seed == 0:
+        runs = request.getfixturevalue("bench_runs")
+    else:
+        cfg = dataclasses.replace(config, seed=seed)
+        cfg.validate()
+        runs = {}
+        for name in golden:
+            trace_path = str(tmp_path / f"{name}.trace")
+            stats, machine = run_bench(name, cfg, trace_path=trace_path)
+            runs[name] = (stats, bytes(machine.stdout_data), trace_path)
+    assert {name: corpus_digests(*runs[name]) for name in golden} == golden

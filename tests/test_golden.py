@@ -1,0 +1,121 @@
+"""Golden lock: outputs that a change which claims not to move the model must
+reproduce byte for byte.
+
+- The corpus (hanoi, binsearch, quicksort) at seeds 0 and 99: sha256 of the
+  stats JSON, of the guest stdout and of the `--trace` file
+  (`test_bench.py::test_corpus_matches_golden`, which reuses its seed-0 run).
+- A multi-guest coherence hammer on a tiny geometry: sha256 of its COH/DIR/MEM
+  trace and of the fabric counters. The tiny caches make it reach the paths
+  that the corpus and the litmus tests never do (L2 inclusion recalls, L1.5
+  dirty writebacks, invalidations of stale sharers); a test-local wrapper
+  asserts that it still reaches each of them.
+
+The files under tests/golden/ change only in a commit of their own that says
+why the model moved.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from tilesim.config import CacheGeometry, MachineConfig, MeshConfig, TimingConfig
+from tilesim.mem import FabricPort, LineState, MemoryFabric
+from tilesim.noc import Noc
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def load_golden(name: str) -> dict:
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def corpus_digests(stats, stdout: bytes, trace_path: str) -> dict:
+    return {
+        "stats": sha256(stats.to_json().encode()),
+        "stdout": sha256(stdout),
+        "trace": sha256(Path(trace_path).read_bytes()),
+    }
+
+
+HAMMER_OPS = 2000
+HAMMER_SEED = 7
+
+
+def hammer_fabric(trace):
+    tiles = ["host-agent"] + ["guest-rv32"] * 3
+    cfg = MachineConfig(
+        tiles=tiles,
+        mesh=MeshConfig(width=2, height=2),
+        cache=CacheGeometry(l15_size_bytes=64, l15_associativity=2, line_size_bytes=16,
+                            l2_slice_size_bytes=128, l2_associativity=2),
+        timing=TimingConfig(dram_jitter_cycles=1),
+        seed=HAMMER_SEED,
+        dram_size=1 << 20,
+        guest_region_size=256 * 1024,
+    )
+    cfg.validate()
+    return MemoryFabric(cfg, Noc(cfg.mesh, len(tiles), trace=trace), trace=trace)
+
+
+def watch_coherence_paths(fabric) -> set:
+    """Wrap the fabric instance's handlers; returns the set of coherence
+    paths that the run goes on to reach."""
+    reached = set()
+    cache_handle, directory_handle = fabric.cache_handle, fabric.directory_handle
+    evict_l2 = fabric._evict_l2
+
+    def on_cache(tile, msg):
+        line = fabric.l15[tile].lookup(msg.line)
+        held = line.state.value if line is not None else "stale"
+        if msg.subkind in ("Downgrade", "Invalidate"):
+            reached.add(f"{msg.subkind}:{held}")
+        return cache_handle(tile, msg)
+
+    def on_directory(home, msg):
+        if msg.subkind == "Writeback":
+            reached.add("Writeback")
+        return directory_handle(home, msg)
+
+    def on_evict_l2(home, victim, *args):
+        reached.add(f"L2 recall:{fabric.dirs[home][victim.addr].state.value}")
+        return evict_l2(home, victim, *args)
+
+    fabric.cache_handle = on_cache
+    fabric.directory_handle = on_directory
+    fabric._evict_l2 = on_evict_l2
+    return reached
+
+
+def test_multi_guest_hammer_matches_golden():
+    lines = []
+    fabric = hammer_fabric(lines.append)
+    reached = watch_coherence_paths(fabric)
+    ports = [FabricPort(fabric, tile) for tile in range(fabric.n_tiles)]
+    rng = random.Random(HAMMER_SEED)
+    pool = [0x4000 + 16 * i for i in range(30)]
+    flat = {}
+    for now in range(HAMMER_OPS):
+        port = rng.choice(ports)
+        port.now_fn = lambda: now
+        addr = rng.choice(pool) + 4 * rng.randrange(4)
+        if rng.random() < 0.5:
+            value = rng.getrandbits(32)
+            port.store(addr, 4, value)
+            flat[addr] = value
+        else:
+            assert port.load(addr, 4)[0] == flat.get(addr, 0)
+    fabric.check_global_invariants()
+
+    M, S = LineState.MODIFIED.value, LineState.SHARED.value
+    assert reached >= {f"Downgrade:{M}", f"Invalidate:{M}", f"Invalidate:{S}",
+                       "Invalidate:stale", f"L2 recall:{M}", f"L2 recall:{S}", "Writeback"}
+    got = {
+        "trace": sha256("\n".join(lines).encode()),
+        "stats": sha256(json.dumps(fabric.stats, sort_keys=True).encode()),
+    }
+    assert got == load_golden("hammer.json")
