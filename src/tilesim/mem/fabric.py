@@ -3,14 +3,25 @@
 Per-tile private caches (the guest core's first-level cache; instructions and
 data both allocate) sit in front of a distributed shared L2 whose slices are
 line-interleaved across tiles by address. Each L2 slice embeds the directory
-for the lines it homes, running a blocking directory MSI protocol with stable
-states only: Invalid (no cached copies), Shared (sharer set, no owner),
-Modified (exactly one owner, empty sharer set).
+for the lines it homes, running an MSI protocol with stable states only:
+Invalid (no cached copies), Shared (sharer set, no owner), Modified (exactly
+one owner, empty sharer set).
 
-A memory operation is one atomic transaction: the full message cascade
-(request, invalidations/downgrades, acks, data, victim writebacks) completes
-through the mesh before the next scheduler event. Latency charged to the
-requester is classified by who serviced the line:
+A memory operation is one atomic transaction that completes before the next
+scheduler event, so the directory has no transient states. A miss runs as one
+call chain, and each step sends its message over the mesh:
+
+    request     the requester sends GetShared/GetModified to the line's home
+    recalls     the home fetches the line into its L2 slice (from DRAM, first
+                recalling an L2 victim from its holders), then downgrades the
+                owner or invalidates the other holders; each answers with an
+                ack that carries the data of a Modified copy
+    data reply  the home moves the directory entry and sends DataShared or
+                DataModified to the requester
+    install     the requester's cache installs the line, writing back a
+                Modified victim to that victim's home
+
+Latency charged to the requester is classified by who serviced the line:
 
     private-cache hit    l15_hit_cycles        (exact)
     home L2 / peer copy  l15_to_l2_cycles
@@ -49,9 +60,6 @@ KIND_IFETCH = "ifetch"
 KIND_LOAD = "load"
 KIND_STORE = "store"
 
-_DIR_INPUTS = {"GetShared", "GetModified", "Writeback", "InvalidateAck", "DowngradeAck"}
-
-
 @dataclass
 class MemoryTransaction:
     origin: int
@@ -79,14 +87,6 @@ class DirectoryEntry:
                 raise ProtocolError(f"dir 0x{line_addr:08x}: bad Modified entry {self}")
         elif self.owner is not None:
             raise ProtocolError(f"dir 0x{line_addr:08x}: owner set in {self.state}")
-
-
-@dataclass
-class _Pending:
-    op: str
-    requester: int
-    need_acks: int = 0
-    data: bytes | None = None
 
 
 class FabricPort:
@@ -140,14 +140,11 @@ class MemoryFabric:
         self.l2 = [CacheArray(geo.l2_slice_size_bytes, geo.l2_associativity, self.line_size)
                    for _ in range(self.n_tiles)]
         self.dirs: list[dict[int, DirectoryEntry]] = [{} for _ in range(self.n_tiles)]
-        self.pending: dict[int, _Pending] = {}
         self.rng = random.Random(config.rng_seed)
         self.windows: list[tuple[int, int]] = []
         self.watches: dict[int, list] = {}
         self.shadow = bytearray(config.dram_size) if config.check_data_values else None
         self.stats: dict[str, int] = {}
-        self._serviced: str | None = None
-        self._dram_latency = 0
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -205,29 +202,16 @@ class MemoryFabric:
         self._bump(f"l15.tile{tile}.{side}_accesses")
         cache = self.l15[tile]
         line = cache.lookup(line_addr)
-        self._serviced = None
-
-        if kind == KIND_STORE:
-            if line is not None and line.state is LineState.MODIFIED:
-                self._bump(f"l15.tile{tile}.{side}_hits")
-                serviced, latency = SERVICED_L15, self.config.timing.l15_hit_cycles
-            else:
-                self._bump(f"l15.tile{tile}.{side}_misses")
-                self._transact(tile, line_addr, "GetModified", now)
-                serviced, latency = self._miss_outcome()
-                line = cache.lookup(line_addr)
+        if line is not None and (kind != KIND_STORE or line.state is LineState.MODIFIED):
+            self._bump(f"l15.tile{tile}.{side}_hits")
+            serviced, latency = SERVICED_L15, self.config.timing.l15_hit_cycles
         else:
-            if line is not None:
-                self._bump(f"l15.tile{tile}.{side}_hits")
-                serviced, latency = SERVICED_L15, self.config.timing.l15_hit_cycles
-            else:
-                self._bump(f"l15.tile{tile}.{side}_misses")
-                self._transact(tile, line_addr, "GetShared", now)
-                serviced, latency = self._miss_outcome()
-                line = cache.lookup(line_addr)
-
-        if line is None:
-            raise ProtocolError(f"transaction left 0x{line_addr:08x} uninstalled")
+            self._bump(f"l15.tile{tile}.{side}_misses")
+            op = "GetModified" if kind == KIND_STORE else "GetShared"
+            serviced, latency = self._transact(tile, line_addr, op, now)
+            line = cache.lookup(line_addr)
+            if line is None:
+                raise ProtocolError(f"transaction left 0x{line_addr:08x} uninstalled")
         cache.touch(line)
 
         if kind == KIND_STORE:
@@ -250,8 +234,6 @@ class MemoryFabric:
             issue_cycle=now, complete_cycle=now + latency, serviced_by=serviced,
         )
         self._check_line_invariants(line_addr)
-        if self.pending:
-            raise ProtocolError("pending directory transaction survived an access")
         if self.trace:
             self.trace(
                 f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={width}"
@@ -262,145 +244,90 @@ class MemoryFabric:
                 cb(addr, out, tx)
         return out, tx
 
-    def _miss_outcome(self) -> tuple[str, int]:
-        timing = self.config.timing
-        if self._serviced == SERVICED_DRAM:
-            return SERVICED_DRAM, self._dram_latency
-        return SERVICED_L2, timing.l15_to_l2_cycles
-
     # -- transaction driver ------------------------------------------------------
 
-    def _transact(self, tile: int, line_addr: int, op: str, now: int):
+    def _transact(self, tile: int, line_addr: int, op: str, now: int) -> tuple[str, int]:
+        """Run one miss: request, recalls, data reply, install. Returns the
+        level that serviced the line and the latency charged for it."""
         home = self.home_of(line_addr)
-        first = self.noc.transfer(op, tile, home, line_addr, when=now)
-        queue = [first]
-        guard = 0
-        while queue:
-            msg = queue.pop(0)
-            if msg.subkind in _DIR_INPUTS:
-                queue.extend(self.directory_handle(msg.dst, msg))
-            else:
-                queue.extend(self.cache_handle(msg.dst, msg))
-            guard += 1
-            if guard > 64 * self.n_tiles:
-                raise ProtocolError(f"coherence cascade for 0x{line_addr:08x} does not settle")
+        request = self.noc.transfer(op, tile, home, line_addr, when=now)
+        reply, serviced, latency = self.directory_handle(home, request)
+        self.cache_handle(tile, reply)
+        return serviced, latency
 
     # -- directory side ------------------------------------------------------------
 
-    def directory_handle(self, home: int, msg: NocMessage) -> list[NocMessage]:
-        """One MSI transition; returns the outgoing coherence messages."""
-        line_addr = msg.line
-        sub = msg.subkind
-        dirmap = self.dirs[home]
-
-        if sub in ("GetShared", "GetModified"):
-            if line_addr in self.pending:
-                raise ProtocolError(f"{sub} for 0x{line_addr:08x} while a transaction is pending")
-            entry, l2line = self._l2_get(home, line_addr, msg.inject_cycle)
-            if sub == "GetShared":
-                if entry.state is LineState.MODIFIED:
-                    self.pending[line_addr] = _Pending("GetShared", msg.src)
-                    return [self.noc.transfer("Downgrade", home, entry.owner, line_addr,
-                                              when=msg.inject_cycle)]
-                entry.state = LineState.SHARED
-                entry.sharers.add(msg.src)
-                entry.check(line_addr)
-                self._dir_trace(home, line_addr, entry, msg.inject_cycle)
-                return [self.noc.transfer("DataShared", home, msg.src, line_addr,
-                                          data=bytes(l2line.data), when=msg.inject_cycle)]
-            # GetModified
-            if entry.state is LineState.MODIFIED:
-                if entry.owner == msg.src:
-                    raise ProtocolError(f"owner re-requested M for 0x{line_addr:08x}")
-                self.pending[line_addr] = _Pending("GetModified", msg.src, need_acks=1)
-                return [self.noc.transfer("Invalidate", home, entry.owner, line_addr,
-                                          when=msg.inject_cycle)]
-            others = sorted(entry.sharers - {msg.src})
-            if others:
-                self.pending[line_addr] = _Pending("GetModified", msg.src,
-                                                   need_acks=len(others))
-                return [self.noc.transfer("Invalidate", home, t, line_addr,
-                                          when=msg.inject_cycle) for t in others]
-            self._grant_modified(home, line_addr, entry, msg.src, msg.inject_cycle)
-            return [self.noc.transfer("DataModified", home, msg.src, line_addr,
-                                      data=bytes(l2line.data), when=msg.inject_cycle)]
+    def directory_handle(self, home: int, msg: NocMessage):
+        """One MSI transition at the home slice. A GetShared or GetModified
+        recalls the copies it must, then returns (data reply, serviced level,
+        latency); a Writeback returns None."""
+        line_addr, src, sub, now = msg.line, msg.src, msg.subkind, msg.inject_cycle
 
         if sub == "Writeback":
-            entry = dirmap.get(line_addr)
+            entry = self.dirs[home].get(line_addr)
             l2line = self.l2[home].lookup(line_addr)
             if entry is None or l2line is None:
                 raise ProtocolError(f"Writeback for untracked line 0x{line_addr:08x}")
-            if entry.state is not LineState.MODIFIED or entry.owner != msg.src:
+            if entry.state is not LineState.MODIFIED or entry.owner != src:
                 raise ProtocolError(
-                    f"Writeback from non-owner tile {msg.src} for 0x{line_addr:08x}"
+                    f"Writeback from non-owner tile {src} for 0x{line_addr:08x}"
                 )
             l2line.data = bytearray(msg.data)
-            entry.state = LineState.INVALID
-            entry.owner = None
-            entry.sharers = set()
-            self._dir_trace(home, line_addr, entry, msg.inject_cycle)
-            return []
+            self._transition(home, line_addr, entry, LineState.INVALID, None, set(), now)
+            return None
 
-        if sub == "DowngradeAck":
-            p = self.pending.get(line_addr)
-            if p is None or p.op != "GetShared":
-                raise ProtocolError(f"unexpected DowngradeAck for 0x{line_addr:08x}")
-            entry = dirmap[line_addr]
-            l2line = self.l2[home].lookup(line_addr)
-            l2line.data = bytearray(msg.data)
-            entry.state = LineState.SHARED
-            entry.owner = None
-            entry.sharers = {msg.src, p.requester}
-            entry.check(line_addr)
-            self._dir_trace(home, line_addr, entry, msg.inject_cycle)
-            del self.pending[line_addr]
-            return [self.noc.transfer("DataShared", home, p.requester, line_addr,
-                                      data=bytes(l2line.data), when=msg.inject_cycle)]
+        if sub not in ("GetShared", "GetModified"):
+            raise ProtocolError(f"directory cannot handle {sub}")
+        entry, l2line, serviced, latency = self._l2_get(home, line_addr, now)
+        if sub == "GetShared":
+            if entry.state is LineState.MODIFIED:
+                owner = entry.owner
+                ack = self.cache_handle(
+                    owner, self.noc.transfer("Downgrade", home, owner, line_addr, when=now))
+                l2line.data = bytearray(ack.data)
+                sharers = {owner, src}
+            else:
+                sharers = entry.sharers | {src}
+            self._transition(home, line_addr, entry, LineState.SHARED, None, sharers, now)
+        else:
+            if entry.state is LineState.MODIFIED:
+                if entry.owner == src:
+                    raise ProtocolError(f"owner re-requested M for 0x{line_addr:08x}")
+                holders = [entry.owner]
+            else:
+                holders = sorted(entry.sharers - {src})
+            # every Invalidate goes out before the first ack comes back
+            invalidates = [self.noc.transfer("Invalidate", home, t, line_addr, when=now)
+                           for t in holders]
+            for t, inv in zip(holders, invalidates):
+                ack = self.cache_handle(t, inv)
+                if ack.data is not None:
+                    l2line.data = bytearray(ack.data)
+            self._transition(home, line_addr, entry, LineState.MODIFIED, src, set(), now)
+        reply = self.noc.transfer("DataShared" if sub == "GetShared" else "DataModified",
+                                  home, src, line_addr, data=bytes(l2line.data), when=now)
+        return reply, serviced, latency
 
-        if sub == "InvalidateAck":
-            p = self.pending.get(line_addr)
-            if p is None or p.op != "GetModified":
-                raise ProtocolError(f"unexpected InvalidateAck for 0x{line_addr:08x}")
-            if msg.data is not None:
-                p.data = msg.data
-            p.need_acks -= 1
-            if p.need_acks > 0:
-                return []
-            entry = dirmap[line_addr]
-            l2line = self.l2[home].lookup(line_addr)
-            if p.data is not None:
-                l2line.data = bytearray(p.data)
-            self._grant_modified(home, line_addr, entry, p.requester, msg.inject_cycle)
-            del self.pending[line_addr]
-            return [self.noc.transfer("DataModified", home, p.requester, line_addr,
-                                      data=bytes(l2line.data), when=msg.inject_cycle)]
-
-        raise ProtocolError(f"directory cannot handle {sub}")
-
-    def _grant_modified(self, home: int, line_addr: int, entry: DirectoryEntry,
-                        tile: int, when: int = 0):
-        entry.state = LineState.MODIFIED
-        entry.owner = tile
-        entry.sharers = set()
+    def _transition(self, home: int, line_addr: int, entry: DirectoryEntry,
+                    state: LineState, owner: int | None, sharers: set[int], now: int):
+        entry.state, entry.owner, entry.sharers = state, owner, sharers
         entry.check(line_addr)
-        self._dir_trace(home, line_addr, entry, when)
-
-    def _dir_trace(self, home: int, line_addr: int, entry: DirectoryEntry, when: int):
         if self.trace:
-            sharers = ",".join(str(t) for t in sorted(entry.sharers)) or "-"
-            owner = entry.owner if entry.owner is not None else "-"
+            shown = ",".join(str(t) for t in sorted(sharers)) or "-"
             self.trace(
-                f"DIR cycle={when} home={home} line=0x{line_addr:08x}"
-                f" state={entry.state.value} owner={owner} sharers={{{sharers}}}"
+                f"DIR cycle={now} home={home} line=0x{line_addr:08x}"
+                f" state={state.value} owner={'-' if owner is None else owner}"
+                f" sharers={{{shown}}}"
             )
 
     # -- cache side ------------------------------------------------------------------
 
-    def cache_handle(self, tile: int, msg: NocMessage) -> list[NocMessage]:
-        line_addr = msg.line
-        sub = msg.subkind
-        cache = self.l15[tile]
-        line = cache.lookup(line_addr)
+    def cache_handle(self, tile: int, msg: NocMessage) -> NocMessage | None:
+        """Apply one message at a tile's private cache. A Downgrade or an
+        Invalidate returns its ack (with the data of a Modified copy); a data
+        reply installs the line and returns None."""
+        line_addr, sub = msg.line, msg.subkind
+        line = self.l15[tile].lookup(line_addr)
 
         if sub == "Invalidate":
             data = None
@@ -409,8 +336,8 @@ class MemoryFabric:
                     data = bytes(line.data)
                 line.state = LineState.INVALID
             # a silent S-eviction can leave the sharer set stale: ack regardless
-            return [self.noc.transfer("InvalidateAck", tile, msg.src, line_addr,
-                                      data=data, when=msg.inject_cycle)]
+            return self.noc.transfer("InvalidateAck", tile, msg.src, line_addr,
+                                     data=data, when=msg.inject_cycle)
 
         if sub == "Downgrade":
             if line is None or line.state is not LineState.MODIFIED:
@@ -418,13 +345,13 @@ class MemoryFabric:
                     f"Downgrade to tile {tile} which does not own 0x{line_addr:08x}"
                 )
             line.state = LineState.SHARED
-            return [self.noc.transfer("DowngradeAck", tile, msg.src, line_addr,
-                                      data=bytes(line.data), when=msg.inject_cycle)]
+            return self.noc.transfer("DowngradeAck", tile, msg.src, line_addr,
+                                     data=bytes(line.data), when=msg.inject_cycle)
 
         if sub in ("DataShared", "DataModified"):
             state = LineState.SHARED if sub == "DataShared" else LineState.MODIFIED
             self._install_l15(tile, line_addr, msg.data, state, msg.inject_cycle)
-            return []
+            return None
 
         raise ProtocolError(f"cache cannot handle {sub}")
 
@@ -437,41 +364,36 @@ class MemoryFabric:
             cache.touch(line)
             return
         victim = cache.victim(line_addr)
-        if victim.valid:
-            self._evict_l15(tile, victim, now)
-        cache.install(line_addr, data, state)
-
-    def _evict_l15(self, tile: int, victim: CacheLine, now: int):
         if victim.state is LineState.MODIFIED:
             home = self.home_of(victim.addr)
-            msg = self.noc.transfer("Writeback", tile, home, victim.addr,
-                                    data=bytes(victim.data), when=now)
-            self.directory_handle(home, msg)
+            self.directory_handle(home, self.noc.transfer(
+                "Writeback", tile, home, victim.addr, data=bytes(victim.data), when=now))
         # Shared lines evict silently; the directory keeps a stale superset.
         victim.state = LineState.INVALID
+        cache.install(line_addr, data, state)
 
     # -- L2 slice + inclusion ----------------------------------------------------------
 
-    def _l2_get(self, home: int, line_addr: int, now: int = 0) -> tuple[DirectoryEntry, CacheLine]:
+    def _l2_get(self, home: int, line_addr: int,
+                now: int = 0) -> tuple[DirectoryEntry, CacheLine, str, int]:
+        """The home's entry and L2 line, fetched from DRAM on an L2 miss, with
+        the level that serviced the request and its latency."""
         slice_ = self.l2[home]
         self._bump(f"l2.tile{home}.lookups")
         l2line = slice_.lookup(line_addr)
         if l2line is not None:
             self._bump(f"l2.tile{home}.hits")
             slice_.touch(l2line)
-            if self._serviced is None:
-                self._serviced = SERVICED_L2
-            return self.dirs[home][line_addr], l2line
+            return (self.dirs[home][line_addr], l2line,
+                    SERVICED_L2, self.config.timing.l15_to_l2_cycles)
         self._bump(f"l2.tile{home}.misses")
         data, latency = self.dram_read(line_addr)
-        self._serviced = SERVICED_DRAM
-        self._dram_latency = latency
         victim = slice_.victim(line_addr)
         if victim.valid:
             self._evict_l2(home, victim, now)
         l2line = slice_.install(line_addr, data, LineState.SHARED)  # state unused in L2
         self.dirs[home][line_addr] = DirectoryEntry()
-        return self.dirs[home][line_addr], l2line
+        return self.dirs[home][line_addr], l2line, SERVICED_DRAM, latency
 
     def _evict_l2(self, home: int, victim: CacheLine, now: int = 0):
         """Inclusion: recall/invalidate all cached copies, then write DRAM."""
@@ -479,7 +401,7 @@ class MemoryFabric:
         entry = self.dirs[home].pop(line_addr)
         if entry.state is LineState.MODIFIED:
             msg = self.noc.transfer("Invalidate", home, entry.owner, line_addr, when=now)
-            (ack,) = self.cache_handle(entry.owner, msg)
+            ack = self.cache_handle(entry.owner, msg)
             if ack.data is None:
                 raise ProtocolError(f"recall of 0x{line_addr:08x} returned no data")
             victim.data = bytearray(ack.data)
@@ -526,5 +448,3 @@ class MemoryFabric:
         for home in range(self.n_tiles):
             for line_addr, entry in self.dirs[home].items():
                 entry.check(line_addr)
-        if self.pending:
-            raise ProtocolError("directory has dangling pending transactions")
