@@ -2,8 +2,9 @@
 
 Channel assignment: coherence requests (GetShared/GetModified/Invalidate/
 Downgrade) on 1, responses and data on 2, writebacks and interrupts on 3.
-Routing is dimension-ordered, X then Y, so every (src, dst) pair has exactly
-one deterministic path of Manhattan-distance length.
+The mesh models hop distance only: a message between two tiles crosses the
+Manhattan distance between their coordinates, the length of any minimal
+(e.g. dimension-ordered) route; no path or link is modelled.
 
 Coherence messages are transferred inside an atomic memory transaction: the
 mesh records injection/delivery, per-pair ordering and hop counts, while the
@@ -71,18 +72,6 @@ class Noc:
         if not 0 <= tile < self.n_tiles:
             raise ConfigError(f"tile {tile} is not on the mesh")
         return tile % self.mesh.width, tile // self.mesh.width
-
-    def route(self, src: int, dst: int) -> list[tuple[int, int]]:
-        """Dimension-ordered path: the sequence of coordinates after each hop."""
-        (x, y), (dx, dy) = self.coord(src), self.coord(dst)
-        hops = []
-        while x != dx:
-            x += 1 if dx > x else -1
-            hops.append((x, y))
-        while y != dy:
-            y += 1 if dy > y else -1
-            hops.append((x, y))
-        return hops
 
     def hop_count(self, src: int, dst: int) -> int:
         (x, y), (dx, dy) = self.coord(src), self.coord(dst)

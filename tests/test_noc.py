@@ -1,4 +1,4 @@
-"""Mesh routing, channel mapping, FIFO ordering and count conservation."""
+"""Mesh hop distance, channel mapping, FIFO ordering and count conservation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,26 +15,18 @@ def make_noc(width=3, height=3, n_tiles=None, hop_cycles=1):
 
 def test_local_delivery_is_empty_route():
     noc = make_noc()
-    assert noc.route(4, 4) == []
     assert noc.hop_count(4, 4) == 0
 
 
 def test_adjacent_hop_on_2x1():
     noc = make_noc(width=2, height=1)
-    assert noc.route(0, 1) == [(1, 0)]
     assert noc.hop_count(0, 1) == 1
-
-
-def test_dimension_ordered_x_then_y():
-    noc = make_noc()
-    # tile 0 = (0,0), tile 8 = (2,2)
-    assert noc.route(0, 8) == [(1, 0), (2, 0), (2, 1), (2, 2)]
 
 
 def test_unreachable_destination_is_config_error():
     noc = make_noc(width=2, height=1, n_tiles=2)
     with pytest.raises(ConfigError):
-        noc.route(0, 5)
+        noc.hop_count(0, 5)
     with pytest.raises(ConfigError):
         Noc(MeshConfig(width=1, height=1), n_tiles=4)
 
@@ -49,7 +41,7 @@ def test_latency_equals_manhattan_distance_times_hop(src, dst, hop_cycles):
     noc = make_noc(width=5, height=5, hop_cycles=hop_cycles)
     (sx, sy), (dx, dy) = noc.coord(src), noc.coord(dst)
     manhattan = abs(sx - dx) + abs(sy - dy)
-    assert len(noc.route(src, dst)) == manhattan
+    assert noc.hop_count(src, dst) == manhattan
     delivery = noc.send_interrupt(src, dst, "start", when=100)
     assert delivery == 100 + manhattan * hop_cycles
 
