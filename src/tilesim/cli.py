@@ -22,7 +22,7 @@ from .asm import assemble
 from .config import MachineConfig, load_config
 from .elf import program_to_elf
 from .errors import AsmError, ConfigError, LoadError, SimError
-from .harness import run_bench, run_isa_suite, run_latency_probe
+from .harness import l15_data_miss_rate, run_bench, run_isa_suite, run_latency_probe
 from .litmus import TESTS, run_litmus
 from .machine import Machine
 
@@ -110,10 +110,7 @@ def cmd_bench(args) -> int:
     except SimError as err:
         _fail(str(err))
     _emit(sys.stdout, bytes(machine.stdout_data))
-    miss_key = f"l15.tile{cfg.guest_tile()}.data_"
-    accesses = stats[miss_key + "accesses"]
-    misses = stats[miss_key + "misses"]
-    rate = misses / accesses if accesses else 0.0
+    rate = l15_data_miss_rate(stats, cfg.guest_tile())
     print(f"cycles={stats['total_cycles']} instructions={stats['guest_instructions']}"
           f" l15_data_miss_rate={rate:.6f}")
     _write_stats(stats, args.stats_out)
