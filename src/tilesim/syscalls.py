@@ -141,8 +141,16 @@ class SyscallHandler:
             return 0, 0  # no interactive stdin in a deterministic run
         if fd in (1, 2):
             raise OSError(host_errno.EBADF, "read from output stream")
-        data = os.read(self._guest_fd(fd), count)
-        self.write_bytes(buf, data)
+        host_fd = self._guest_fd(fd)
+        data = os.read(host_fd, count)
+        try:
+            self.write_bytes(buf, data)
+        except MemoryFault:  # a failed read leaves the file offset where it was
+            try:
+                os.lseek(host_fd, -len(data), os.SEEK_CUR)
+            except OSError:
+                pass  # a pipe cannot seek back
+            raise
         return len(data), 0
 
     def _resolve(self, path: str) -> str:

@@ -9,7 +9,7 @@ from tilesim import corpus
 from tilesim.asm import assemble
 from tilesim.config import MachineConfig
 from tilesim.elf import program_to_elf
-from tilesim.errors import LoadError, SimError
+from tilesim.errors import LoadError, MemoryFault, SimError
 from tilesim.host import GuestImage, GuestRegion
 from tilesim.machine import Machine
 from tilesim import elf as elfmod
@@ -355,6 +355,34 @@ def test_handler_path_running_off_guest_top_is_efault(tmp_path):
     handler.guest_top = 0x108
     mem.write(0x100, b"abcdefgh")  # no NUL before the top
     assert handler.handle(56, [-100 & 0xFFFFFFFF, 0x100, 0, 0, 0, 0]) == (-1, 14)
+
+
+def test_read_into_bad_pointer_leaves_file_offset(tmp_path):
+    (tmp_path / "f.bin").write_bytes(b"ABCDEFGH")
+    handler, mem, _, _ = make_handler(tmp_path)
+
+    def write_bytes(addr, blob):
+        if addr >= 0x10000:
+            raise MemoryFault(addr, "outside guest memory")
+        mem.write(addr, blob)
+
+    handler.write_bytes = write_bytes
+    mem.write(0x100, b"f.bin\x00")
+    fd, err = handler.handle(56, [-100 & 0xFFFFFFFF, 0x100, 0, 0, 0, 0])
+    assert err == 0
+    assert handler.handle(63, [fd, 0x10000, 4, 0, 0, 0]) == (-1, 14)  # EFAULT
+    assert handler.handle(63, [fd, 0x200, 8, 0, 0, 0]) == (8, 0)
+    assert mem.read(0x200, 8) == b"ABCDEFGH"
+
+
+def test_handler_symlink_out_of_sandbox_refused(tmp_path):
+    sandbox = tmp_path / "sandbox"
+    sandbox.mkdir()
+    (tmp_path / "secret.txt").write_bytes(b"x")
+    (sandbox / "link").symlink_to(tmp_path / "secret.txt")
+    handler, mem, _, _ = make_handler(sandbox)
+    mem.write(0x100, b"link\x00")
+    assert handler.handle(56, [-100 & 0xFFFFFFFF, 0x100, 0, 0, 0, 0]) == (-1, 13)  # EACCES
 
 
 def test_open_of_stack_built_path_returns_fd(tmp_path):
