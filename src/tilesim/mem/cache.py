@@ -1,5 +1,9 @@
 """Set-associative cache arrays used for both the private caches and the
-shared L2 slices. Replacement is LRU with ties broken by lowest way index."""
+shared L2 slices. Replacement is LRU with ties broken by lowest way index.
+
+An index from line address to the way last installed with it makes a lookup
+one dict probe. Only `install` moves it; a line invalidated in place stays
+indexed, and `lookup` rejects it as invalid."""
 
 from __future__ import annotations
 
@@ -32,14 +36,15 @@ class CacheArray:
         self.n_sets = size_bytes // line_size // associativity
         self.sets = [[CacheLine() for _ in range(associativity)] for _ in range(self.n_sets)]
         self._tick = 0
+        self._index: dict[int, CacheLine] = {}
 
     def set_index(self, line_addr: int) -> int:
         return (line_addr // self.line_size) % self.n_sets
 
     def lookup(self, line_addr: int) -> CacheLine | None:
-        for line in self.sets[self.set_index(line_addr)]:
-            if line.valid and line.addr == line_addr:
-                return line
+        line = self._index.get(line_addr)
+        if line is not None and line.state is not LineState.INVALID and line.addr == line_addr:
+            return line
         return None
 
     def touch(self, line: CacheLine):
@@ -59,6 +64,9 @@ class CacheArray:
         """Place a line into its victim way. The caller must have dealt with
         the victim's previous contents first."""
         line = self.victim(line_addr)
+        if self._index.get(line.addr) is line:
+            del self._index[line.addr]
+        self._index[line_addr] = line
         line.addr = line_addr
         line.state = state
         line.data = bytearray(data)

@@ -21,6 +21,10 @@ call chain, and each step sends its message over the mesh:
     install     the requester's cache installs the line, writing back a
                 Modified victim to that victim's home
 
+Hits change no coherence state. The single-writer and directory invariants
+are checked after each miss, for the requested line and for every line it
+evicts from an L1.5 or an L2 slice.
+
 Latency charged to the requester is classified by who serviced the line:
 
     private-cache hit    l15_hit_cycles        (exact)
@@ -60,7 +64,10 @@ KIND_IFETCH = "ifetch"
 KIND_LOAD = "load"
 KIND_STORE = "store"
 
-@dataclass
+_L15_EVENTS = ("accesses", "hits", "misses")
+
+
+@dataclass(slots=True)
 class MemoryTransaction:
     origin: int
     address: int
@@ -144,7 +151,10 @@ class MemoryFabric:
         self.windows: list[tuple[int, int]] = []
         self.watches: dict[int, list] = {}
         self.shadow = bytearray(config.dram_size) if config.check_data_values else None
-        self.stats: dict[str, int] = {}
+        self.stats: dict[str, int] = {}  # a key appears once its count is non-zero
+        # the hit path's counter keys, built once: [tile][side] = (accesses, hits, misses)
+        self._l15_keys = [{side: tuple(f"l15.tile{t}.{side}_{e}" for e in _L15_EVENTS)
+                           for side in ("ifetch", "data")} for t in range(self.n_tiles)]
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -198,20 +208,22 @@ class MemoryFabric:
         if offset + width > self.line_size:
             raise SimError("access straddles a line")  # impossible for aligned width<=4
 
-        side = "ifetch" if kind == KIND_IFETCH else "data"
-        self._bump(f"l15.tile{tile}.{side}_accesses")
+        stats = self.stats
+        accesses, hits, misses = self._l15_keys[tile]["ifetch" if kind == KIND_IFETCH else "data"]
+        stats[accesses] = stats.get(accesses, 0) + 1
         cache = self.l15[tile]
         line = cache.lookup(line_addr)
         if line is not None and (kind != KIND_STORE or line.state is LineState.MODIFIED):
-            self._bump(f"l15.tile{tile}.{side}_hits")
+            stats[hits] = stats.get(hits, 0) + 1
             serviced, latency = SERVICED_L15, self.config.timing.l15_hit_cycles
         else:
-            self._bump(f"l15.tile{tile}.{side}_misses")
+            stats[misses] = stats.get(misses, 0) + 1
             op = "GetModified" if kind == KIND_STORE else "GetShared"
             serviced, latency = self._transact(tile, line_addr, op, now)
             line = cache.lookup(line_addr)
             if line is None:
                 raise ProtocolError(f"transaction left 0x{line_addr:08x} uninstalled")
+            self._check_line_invariants(line_addr)
         cache.touch(line)
 
         if kind == KIND_STORE:
@@ -223,7 +235,7 @@ class MemoryFabric:
             out = bytes(data)
         else:
             out = bytes(line.data[offset : offset + width])
-            if self.shadow is not None and out != bytes(self.shadow[addr : addr + width]):
+            if self.shadow is not None and out != self.shadow[addr : addr + width]:
                 raise SimError(
                     f"data-value check failed at 0x{addr:08x}: "
                     f"read {out.hex()} expected {self.shadow[addr:addr + width].hex()}"
@@ -233,7 +245,6 @@ class MemoryFabric:
             origin=tile, address=addr, width=width, kind=kind,
             issue_cycle=now, complete_cycle=now + latency, serviced_by=serviced,
         )
-        self._check_line_invariants(line_addr)
         if self.trace:
             self.trace(
                 f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={width}"
@@ -358,10 +369,9 @@ class MemoryFabric:
     def _install_l15(self, tile: int, line_addr: int, data: bytes, state: LineState, now: int):
         cache = self.l15[tile]
         line = cache.lookup(line_addr)
-        if line is not None:  # upgrade in place
+        if line is not None:  # upgrade in place; access() touches it next
             line.state = state
             line.data = bytearray(data)
-            cache.touch(line)
             return
         victim = cache.victim(line_addr)
         if victim.state is LineState.MODIFIED:
@@ -369,7 +379,9 @@ class MemoryFabric:
             self.directory_handle(home, self.noc.transfer(
                 "Writeback", tile, home, victim.addr, data=bytes(victim.data), when=now))
         # Shared lines evict silently; the directory keeps a stale superset.
-        victim.state = LineState.INVALID
+        if victim.valid:
+            victim.state = LineState.INVALID
+            self._check_line_invariants(victim.addr)
         cache.install(line_addr, data, state)
 
     # -- L2 slice + inclusion ----------------------------------------------------------
@@ -411,6 +423,7 @@ class MemoryFabric:
                 self.cache_handle(tile, msg)
         self.dram_write(line_addr, bytes(victim.data))
         victim.state = LineState.INVALID
+        self._check_line_invariants(line_addr)
 
     # -- invariants ---------------------------------------------------------------------
 

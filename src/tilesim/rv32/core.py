@@ -15,25 +15,25 @@ cached load between two counter reads).
 No privileged state exists. ecall/ebreak, undecodable words, misaligned
 accesses, unknown CSRs and memory faults all halt the core with a trap reason;
 there is no trap handler to vector to.
+
+Each instruction word is decoded once, into a dict from word to (handler,
+Instruction, execution cycles) that a step dispatches from. Every step still
+fetches through the port, so fetch timing and the word come from memory. Keyed
+by word, not by pc, the dict needs no invalidation: after a store over code
+the next fetch returns the new word, decoded on first sight like any other.
+A word that fails to decode is not kept; it traps each time.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..config import TimingConfig
 from ..errors import DecodeError, MemoryFault, SimError
-from .insn import (
-    CSR_CYCLE,
-    CSR_CYCLEH,
-    Instruction,
-    LOAD_WIDTHS,
-    OpClass,
-    STORE_WIDTHS,
-    decode,
-    sext,
-)
+from .insn import CSR_CYCLE, CSR_CYCLEH, Instruction, OpClass, decode, sext
 
 M32 = 0xFFFFFFFF
 
@@ -44,7 +44,7 @@ class RunState(enum.Enum):
     HALTED = "halted"
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     cycles: int
     fetch_cycles: int = 0
@@ -79,15 +79,14 @@ class Rv32Core:
     def __post_init__(self):
         t = self.timing
         t.validate()
-        self.exec_cycles = {
-            OpClass.OP: t.alu_cycles, OpClass.OP_IMM: t.alu_cycles,
-            OpClass.LUI: t.alu_cycles, OpClass.AUIPC: t.alu_cycles,
+        self.exec_cycles = dict.fromkeys(OpClass, t.alu_cycles) | {  # OP, OP_IMM, LUI, AUIPC
             OpClass.BRANCH: t.branch_cycles,  # taken and not-taken
             OpClass.JAL: t.jump_cycles, OpClass.JALR: t.jump_cycles,
             OpClass.FENCE: t.fence_cycles,
             OpClass.SYSTEM: t.system_cycles,  # CSR reads; ecall/ebreak halt anyway
             OpClass.LOAD: t.load_store_exec_cycles, OpClass.STORE: t.load_store_exec_cycles,
         }
+        self._decoded: dict[int, tuple] = {}  # word -> (handler, Instruction, exec cycles)
 
     # -- run-state transitions -------------------------------------------------
 
@@ -105,9 +104,8 @@ class Rv32Core:
 
     @property
     def halted_by_trap(self) -> bool:
-        return self.run_state is RunState.HALTED and not (self.halt_reason or "").startswith(
-            "exit"
-        )
+        reason = self.halt_reason or ""
+        return self.run_state is RunState.HALTED and not reason.startswith("exit")
 
     # -- CSR file ----------------------------------------------------------------
 
@@ -119,150 +117,137 @@ class Rv32Core:
             return (self.cycle_counter >> 32) & M32
         raise _Trap(f"csr 0x{csr:03x} not implemented")
 
-    def csr_exists(self, csr: int) -> bool:
-        return csr in (CSR_CYCLE, CSR_CYCLEH)
-
     # -- stepping ----------------------------------------------------------------
 
     def step(self) -> StepResult:
         """Execute exactly one instruction; requires run_state == RUNNING."""
         if self.run_state is not RunState.RUNNING:
             raise SimError(f"step() while {self.run_state.value}")
-        try:
-            result = self._step_inner()
-        except _Trap as trap:
-            self.halt(f"trap: {trap.reason} @pc=0x{self.pc:08x}")
-            result = StepResult(cycles=trap.cycles, trap=trap.reason)
-        self.cycle_counter += result.cycles
-        self.regs[0] = 0
-        if result.trap is None:
-            self.instret += 1
-        return result
-
-    def _step_inner(self) -> StepResult:
         pc = self.pc
-        if pc & 0x3:
-            raise _Trap(f"misaligned fetch 0x{pc:08x}")
         try:
-            word, f_cycles = self.port.fetch(pc)
-        except MemoryFault as fault:
-            raise _Trap(f"fetch fault: {fault}") from fault
-        try:
-            insn = decode(word, pc)
-        except DecodeError as err:
-            raise _Trap(str(err), f_cycles) from err
-        e_cycles = self.exec_cycles[insn.opclass]
-        d_cycles = 0
-
-        regs = self.regs
-        next_pc = (pc + 4) & M32
-        op = insn.mnemonic
-        cls = insn.opclass
-
-        if cls in (OpClass.OP, OpClass.OP_IMM):
-            b = regs[insn.rs2] if cls is OpClass.OP else insn.imm & M32
-            regs[insn.rd] = _alu(op, regs[insn.rs1], b)
-        elif cls is OpClass.LUI:
-            regs[insn.rd] = insn.imm & M32
-        elif cls is OpClass.AUIPC:
-            regs[insn.rd] = (pc + insn.imm) & M32
-        elif cls is OpClass.JAL:
-            regs[insn.rd] = next_pc
-            next_pc = (pc + insn.imm) & M32
-        elif cls is OpClass.JALR:
-            target = (regs[insn.rs1] + insn.imm) & M32 & ~1
-            regs[insn.rd] = next_pc
-            next_pc = target
-        elif cls is OpClass.BRANCH:
-            if _branch_taken(op, regs[insn.rs1], regs[insn.rs2]):
-                next_pc = (pc + insn.imm) & M32
-        elif cls is OpClass.LOAD:
-            width = LOAD_WIDTHS[op]
-            addr = (regs[insn.rs1] + insn.imm) & M32
-            if addr % width:
-                raise _Trap(f"misaligned load 0x{addr:08x}", f_cycles + e_cycles)
+            if pc & 0x3:
+                raise _Trap(f"misaligned fetch 0x{pc:08x}")
             try:
-                value, d_cycles = self.port.load(addr, width)
+                word, f_cycles = self.port.fetch(pc)
             except MemoryFault as fault:
-                raise _Trap(f"load fault: {fault}", f_cycles + e_cycles) from fault
-            if op in ("lb", "lh"):
-                value = sext(value, width * 8) & M32
-            regs[insn.rd] = value
-        elif cls is OpClass.STORE:
-            width = STORE_WIDTHS[op]
-            addr = (regs[insn.rs1] + insn.imm) & M32
-            if addr % width:
-                raise _Trap(f"misaligned store 0x{addr:08x}", f_cycles + e_cycles)
-            try:
-                d_cycles = self.port.store(addr, width, regs[insn.rs2] & ((1 << width * 8) - 1))
-            except MemoryFault as fault:
-                raise _Trap(f"store fault: {fault}", f_cycles + e_cycles) from fault
-        elif cls is OpClass.FENCE:
-            pass  # single memory port, strictly ordered: nothing to do
-        else:  # SYSTEM
-            self._exec_system(insn, f_cycles + e_cycles)
-
+                raise _Trap(f"fetch fault: {fault}") from fault
+            entry = self._decoded.get(word)
+            if entry is None:
+                try:
+                    insn = decode(word, pc)
+                except DecodeError as err:
+                    raise _Trap(str(err), f_cycles) from err
+                entry = self._decoded[word] = (
+                    _HANDLERS[insn.mnemonic], insn, self.exec_cycles[insn.opclass])
+            handler, insn, e_cycles = entry
+            cycles = f_cycles + e_cycles
+            next_pc, d_cycles = handler(self, insn, pc, cycles)
+        except _Trap as trap:
+            self.halt(f"trap: {trap.reason} @pc=0x{pc:08x}")
+            self.cycle_counter += trap.cycles
+            return StepResult(cycles=trap.cycles, trap=trap.reason)
         self.regs[0] = 0
-        self.pc = next_pc
-        cycles = f_cycles + e_cycles + d_cycles
-        return StepResult(cycles, f_cycles, e_cycles, d_cycles, insn)
-
-    def _exec_system(self, insn: Instruction, cycles_so_far: int):
-        op = insn.mnemonic
-        if op == "ecall":
-            raise _Trap("ecall", cycles_so_far)
-        if op == "ebreak":
-            raise _Trap("ebreak", cycles_so_far)
-        # CSR ops: only pure reads of the cycle counter are legal. csrrs/csrrc
-        # with rs1=x0 (or zimm=0) never write; everything else would write a
-        # read-only counter or a missing CSR.
-        writes = op in ("csrrw", "csrrwi") or insn.rs1 != 0
-        if writes:
-            raise _Trap(f"csr write attempt ({op})", cycles_so_far)
-        if not self.csr_exists(insn.csr):
-            raise _Trap(f"csr 0x{insn.csr:03x} not implemented", cycles_so_far)
-        # retire-point sample: the counter including this instruction's own cost
-        retired = self.cycle_counter + cycles_so_far
-        self.regs[insn.rd] = (retired if insn.csr == CSR_CYCLE else retired >> 32) & M32
+        self.pc = next_pc & M32
+        self.cycle_counter += cycles + d_cycles
+        self.instret += 1
+        return StepResult(cycles + d_cycles, f_cycles, e_cycles, d_cycles, insn)
 
 
-def _alu(op: str, a: int, b: int) -> int:
-    sh = b & 31
-    if op in ("add", "addi"):
-        return (a + b) & M32
-    if op == "sub":
-        return (a - b) & M32
-    if op in ("xor", "xori"):
-        return a ^ b
-    if op in ("or", "ori"):
-        return a | b
-    if op in ("and", "andi"):
-        return a & b
-    if op in ("sll", "slli"):
-        return (a << sh) & M32
-    if op in ("srl", "srli"):
-        return a >> sh
-    if op in ("sra", "srai"):
-        return (sext(a, 32) >> sh) & M32
-    if op in ("slt", "slti"):
-        return 1 if sext(a, 32) < sext(b, 32) else 0
-    if op in ("sltu", "sltiu"):
-        return 1 if a < b else 0
-    raise AssertionError(op)
+# -- instruction handlers ----------------------------------------------------------
+#
+# handler(core, insn, pc, cycles) -> (next pc, data cycles). `cycles` is the
+# fetch plus execution cost so far: what a trap charges and the retire point a
+# CSR read samples. The step masks the next pc to 32 bits.
+
+# ALU semantics on unsigned 32-bit operands; shifts take b mod 32
+_ALU = {
+    "add": lambda a, b: (a + b) & M32, "sub": lambda a, b: (a - b) & M32,
+    "xor": operator.xor, "or": operator.or_, "and": operator.and_,
+    "sll": lambda a, b: (a << (b & 31)) & M32, "srl": lambda a, b: a >> (b & 31),
+    "sra": lambda a, b: (sext(a, 32) >> (b & 31)) & M32,
+    "slt": lambda a, b: int(sext(a, 32) < sext(b, 32)), "sltu": lambda a, b: int(a < b),
+}
+_BRANCHES = {
+    "beq": operator.eq, "bne": operator.ne, "bltu": operator.lt, "bgeu": operator.ge,
+    "blt": lambda a, b: sext(a, 32) < sext(b, 32),
+    "bge": lambda a, b: sext(a, 32) >= sext(b, 32),
+}
+_LOADS = {"lb": (1, True), "lh": (2, True), "lw": (4, False), "lbu": (1, False), "lhu": (2, False)}
 
 
-def _branch_taken(op: str, a: int, b: int) -> bool:
-    if op == "beq":
-        return a == b
-    if op == "bne":
-        return a != b
-    if op == "blt":
-        return sext(a, 32) < sext(b, 32)
-    if op == "bge":
-        return sext(a, 32) >= sext(b, 32)
-    if op == "bltu":
-        return a < b
-    return a >= b  # bgeu
+def _arith(fn, imm, core, i, pc, _cycles):
+    regs = core.regs
+    regs[i.rd] = fn(regs[i.rs1], i.imm & M32 if imm else regs[i.rs2])
+    return pc + 4, 0
+
+
+def _upper(add_pc, core, i, pc, _cycles):  # lui, auipc
+    core.regs[i.rd] = (pc + i.imm if add_pc else i.imm) & M32
+    return pc + 4, 0
+
+
+def _jump(register, core, i, pc, _cycles):  # jal, jalr (which clears bit 0)
+    target = (core.regs[i.rs1] + i.imm) & ~1 if register else pc + i.imm
+    core.regs[i.rd] = (pc + 4) & M32
+    return target, 0
+
+
+def _branch(taken, core, i, pc, _cycles):
+    return (pc + i.imm if taken(core.regs[i.rs1], core.regs[i.rs2]) else pc + 4), 0
+
+
+def _load(width, signed, core, i, pc, cycles):
+    addr = (core.regs[i.rs1] + i.imm) & M32
+    if addr % width:
+        raise _Trap(f"misaligned load 0x{addr:08x}", cycles)
+    try:
+        value, d_cycles = core.port.load(addr, width)
+    except MemoryFault as fault:
+        raise _Trap(f"load fault: {fault}", cycles) from fault
+    core.regs[i.rd] = sext(value, width * 8) & M32 if signed else value
+    return pc + 4, d_cycles
+
+
+def _store(width, core, i, pc, cycles):
+    addr = (core.regs[i.rs1] + i.imm) & M32
+    if addr % width:
+        raise _Trap(f"misaligned store 0x{addr:08x}", cycles)
+    try:
+        d_cycles = core.port.store(addr, width, core.regs[i.rs2] & ((1 << width * 8) - 1))
+    except MemoryFault as fault:
+        raise _Trap(f"store fault: {fault}", cycles) from fault
+    return pc + 4, d_cycles
+
+
+def _system(core, i, pc, cycles):
+    if i.mnemonic in ("ecall", "ebreak"):
+        raise _Trap(i.mnemonic, cycles)
+    # Only pure reads of the cycle counter are legal: csrrs/csrrc with rs1=x0 (or
+    # zimm=0) never write; anything else writes a read-only counter or no CSR.
+    if i.mnemonic in ("csrrw", "csrrwi") or i.rs1 != 0:
+        raise _Trap(f"csr write attempt ({i.mnemonic})", cycles)
+    if i.csr not in (CSR_CYCLE, CSR_CYCLEH):
+        raise _Trap(f"csr 0x{i.csr:03x} not implemented", cycles)
+    # retire-point sample: the counter including this instruction's own cost
+    retired = core.cycle_counter + cycles
+    core.regs[i.rd] = (retired if i.csr == CSR_CYCLE else retired >> 32) & M32
+    return pc + 4, 0
+
+
+_HANDLERS = {
+    "lui": partial(_upper, False), "auipc": partial(_upper, True),
+    "jal": partial(_jump, False), "jalr": partial(_jump, True),
+    "fence": lambda _core, _i, pc, _cycles: (pc + 4, 0),  # one memory port, strictly ordered
+    **{op: partial(_arith, fn, False) for op, fn in _ALU.items()},
+    # an immediate form shares its base op's semantics: addi -> add, sltiu -> sltu
+    **{op: partial(_arith, _ALU[op.replace("i", "", 1)], True)
+       for op in ("addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai")},
+    **{op: partial(_branch, fn) for op, fn in _BRANCHES.items()},
+    **{op: partial(_load, width, signed) for op, (width, signed) in _LOADS.items()},
+    **{op: partial(_store, width) for op, width in (("sb", 1), ("sh", 2), ("sw", 4))},
+    **{op: _system for op in ("ecall", "ebreak", "csrrw", "csrrs", "csrrc",
+                              "csrrwi", "csrrsi", "csrrci")},
+}
 
 
 class _Trap(SimError):

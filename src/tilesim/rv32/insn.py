@@ -60,9 +60,6 @@ _OP_F7_0 = {0: "add", 1: "sll", 2: "slt", 3: "sltu", 4: "xor", 5: "srl", 6: "or"
 _OP_F7_32 = {0: "sub", 5: "sra"}
 _CSR_OPS = {1: "csrrw", 2: "csrrs", 3: "csrrc", 5: "csrrwi", 6: "csrrsi", 7: "csrrci"}
 
-LOAD_WIDTHS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
-STORE_WIDTHS = {"sb": 1, "sh": 2, "sw": 4}
-
 
 def decode(word: int, pc: int = 0) -> Instruction:
     """Decode one 32-bit instruction word; raise DecodeError if unsupported."""

@@ -1,0 +1,44 @@
+"""The summary that tools/bench_compare.py writes into BENCH_<pr>.json."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summary_of_a_higher_is_better_metric(tool):
+    parent = [50.0, 52.0, 48.0, 51.0, 49.0]
+    change = [101.0, 99.0, 100.0, 51.0, 102.0]  # pair 4 is a tie
+    s = tool.summarize(parent, change, "higher")
+    assert s["pairs"] == 5
+    assert s["change_wins"] == 4
+    assert s["parent"]["median"] == 50.0
+    assert (s["parent"]["q1"], s["parent"]["q3"]) == (49.0, 51.0)
+    assert s["parent"]["best"] == 52.0
+    assert s["change"]["median"] == 100.0 and s["change"]["best"] == 102.0
+    assert s["change"]["samples"] == change
+
+
+def test_summary_of_a_lower_is_better_metric(tool):
+    s = tool.summarize([1.0, 1.2, 0.9, 1.1], [0.5, 1.3, 0.4, 0.6], "lower")
+    assert s["change_wins"] == 3
+    assert s["parent"]["best"] == 0.9 and s["change"]["best"] == 0.4
+    assert s["parent"]["median"] == pytest.approx(1.05)
+    assert s["change"]["median"] == pytest.approx(0.55)
+
+
+def test_summary_needs_complete_pairs(tool):
+    with pytest.raises(ValueError):
+        tool.summarize([1.0, 2.0], [1.0], "higher")
+    with pytest.raises(ValueError):
+        tool.summarize([1.0], [2.0], "higher")

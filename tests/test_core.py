@@ -357,3 +357,66 @@ def test_instrumented_cycle_delta_equals_sum_of_parts():
         assert (r.data_cycles > 0) == (r.instruction.opclass.value in ("load", "store"))
         total += r.cycles
     assert core.cycle_counter == total
+
+
+# -- self-modifying code -----------------------------------------------------------
+
+# Runs the slot once (a0 = 1, kept in s2), overwrites it with
+# `addi a0, x0, 7` and branches back to it. A decode cache keyed by pc would
+# run the stale `addi a0, x0, 1` again.
+_STORE_TO_CODE = """
+slot:
+    addi a0, x0, 1
+    bnez s1, done
+    mv   s2, a0
+    li   t0, slot
+    li   t1, 0x00700513
+    sw   t1, 0(t0)
+    li   s1, 1
+    j    slot
+done:
+    ecall
+"""
+
+
+def _run_store_to_code(core):
+    run_steps(core, 40)
+    assert core.halt_reason.startswith("trap: ecall")
+    assert core.regs[18] == 1  # s2: the slot's first run
+    assert core.regs[10] == 7  # a0: the rewritten slot
+
+
+def test_store_over_code_runs_the_new_word_on_flat_port():
+    core, _ = make_core(_STORE_TO_CODE)
+    _run_store_to_code(core)
+
+
+def test_store_over_code_runs_the_new_word_through_the_fabric():
+    from tilesim.config import MachineConfig
+    from tilesim.mem import FabricPort, MemoryFabric
+    from tilesim.noc import Noc
+
+    config = MachineConfig()
+    config.validate()
+    fabric = MemoryFabric(config, Noc(config.mesh, len(config.tiles)))
+    prog = assemble(_STORE_TO_CODE, base=config.reset_vector)
+    loader = FabricPort(fabric, config.host_tile())
+    for off in range(0, len(prog.data), 4):
+        loader.store(prog.base + off, 4, int.from_bytes(prog.data[off : off + 4], "little"))
+    guest = config.guest_tile()
+    core = Rv32Core(port=FabricPort(fabric, guest), reset_vector=config.reset_vector)
+    core.deliver_start_interrupt()
+    _run_store_to_code(core)
+    # the fetches and the store met in the guest's private cache
+    assert fabric.l15[guest].lookup(config.reset_vector).state.value == "M"
+    assert fabric.stats[f"l15.tile{guest}.ifetch_hits"] > 0
+
+
+def test_csr_set_or_clear_with_a_source_is_a_write_attempt():
+    # csrrs/csrrc with rs1 != x0 (or a nonzero zimm) would write the counter
+    for insn in ("csrrs a0, cycle, t0", "csrrc a0, cycle, t0",
+                 "csrrsi a0, cycle, 1", "csrrci a0, cycle, 1"):
+        core, _ = make_core(f"li t0, 1\n {insn}")
+        run_steps(core, 3)
+        assert "csr write attempt" in core.halt_reason, insn
+        assert core.regs[10] == 0, insn

@@ -1,0 +1,80 @@
+"""Lockstep co-simulation: the guest core against the flat-memory stepper of
+tests/cosim.py, one instruction at a time, over the corpus and the bundled
+rv32ui suite.
+
+The machine runs as usual. Wrappers on the instance (as test_golden.py puts
+them) mirror every host-tile store into the stepper's memory as it happens
+(the loader, mailbox results, syscall payloads) and, after each guest step,
+step the stepper once and compare pc, the 32 registers and instret. A step
+the core traps on must be one the stepper traps on too.
+"""
+
+import pytest
+
+import cosim
+from tilesim import corpus
+from tilesim.config import MachineConfig
+from tilesim.elf import parse_elf
+from tilesim.harness import _suite_config, bundled_suite_elves
+from tilesim.machine import Machine
+
+
+def lockstep(machine) -> cosim.FlatCpu:
+    """Wrap the machine's one guest core and its fabric; returns the stepper."""
+    (agent,) = machine.cores.values()
+    core, fabric = agent.core, machine.fabric
+    ref = cosim.FlatCpu(len(fabric.dram), machine.config.reset_vector)
+    host = machine.config.host_tile()
+    access, step = fabric.access, core.step
+
+    def mirrored_access(tile, kind, addr, width, data=None, now=0):
+        result = access(tile, kind, addr, width, data, now)
+        if tile == host and kind == "store":
+            ref.mem[addr : addr + width] = data
+        return result
+
+    def lockstep_step():
+        pc = core.pc
+        result = step()
+        try:
+            ref.step(lambda: core.cycle_counter)  # the counter after this step
+        except cosim.Trap as trap:
+            assert result.trap is not None, f"core ran what the stepper traps on: {trap}"
+        else:
+            assert result.trap is None, f"core trapped where the stepper ran: {result.trap}"
+        assert core.pc == ref.pc, f"pc after 0x{pc:08x}"
+        assert core.regs == ref.regs, f"registers after 0x{pc:08x}"
+        assert core.instret == ref.instret
+        return result
+
+    fabric.access = mirrored_access
+    core.step = lockstep_step
+    return ref
+
+
+@pytest.mark.parametrize("name", ["hanoi", "binsearch", "quicksort"])
+def test_corpus_runs_in_lockstep(name):
+    config = MachineConfig(seed=0)
+    config.validate()
+    machine = Machine(config, binary=corpus.bench_elf(name, config))
+    ref = lockstep(machine)
+    machine.run()
+    assert machine.trap is None and machine.exit_status == 0
+    assert ref.instret == machine.stats()["guest_instructions"] > 1000
+
+
+def test_rv32ui_suite_runs_in_lockstep():
+    config = _suite_config(MachineConfig())
+    traps = 0
+    for name, blob in bundled_suite_elves(config).items():
+        machine = Machine(config, binary=blob)
+        machine.watch_tohost(parse_elf(blob).symbols["tohost"])
+        ref = lockstep(machine)
+        machine.run()
+        if name.endswith("-trap"):
+            assert machine.trap is not None, name
+            traps += 1
+        else:
+            assert machine.trap is None and machine.tohost_value == 1, name
+        assert ref.instret == machine.stats()["guest_instructions"], name
+    assert traps > 0
