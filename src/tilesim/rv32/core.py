@@ -33,7 +33,14 @@ from functools import partial
 
 from ..config import TimingConfig
 from ..errors import DecodeError, MemoryFault, SimError
-from .insn import CSR_CYCLE, CSR_CYCLEH, Instruction, OpClass, decode, sext
+from .insn import (
+    CSR_CYCLE,
+    CSR_CYCLEH,
+    Instruction,
+    OpClass,
+    decode,
+    sext,
+)
 
 M32 = 0xFFFFFFFF
 
@@ -79,7 +86,9 @@ class Rv32Core:
     def __post_init__(self):
         t = self.timing
         t.validate()
-        self.exec_cycles = dict.fromkeys(OpClass, t.alu_cycles) | {  # OP, OP_IMM, LUI, AUIPC
+        self.exec_cycles = {
+            OpClass.OP: t.alu_cycles, OpClass.OP_IMM: t.alu_cycles,
+            OpClass.LUI: t.alu_cycles, OpClass.AUIPC: t.alu_cycles,
             OpClass.BRANCH: t.branch_cycles,  # taken and not-taken
             OpClass.JAL: t.jump_cycles, OpClass.JALR: t.jump_cycles,
             OpClass.FENCE: t.fence_cycles,
@@ -104,8 +113,9 @@ class Rv32Core:
 
     @property
     def halted_by_trap(self) -> bool:
-        reason = self.halt_reason or ""
-        return self.run_state is RunState.HALTED and not reason.startswith("exit")
+        return self.run_state is RunState.HALTED and not (self.halt_reason or "").startswith(
+            "exit"
+        )
 
     # -- CSR file ----------------------------------------------------------------
 

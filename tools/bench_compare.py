@@ -1,20 +1,20 @@
 """Compare the benchmark of a parent commit with the working tree.
 
     python3 tools/bench_compare.py --parent REV --out BENCH_<pr>.json \
-        [--workloads quicksort memwalk sysio] [--seeds 0] [--pairs 10] \
-        [--seconds 3] [--workdir DIR]
+        [--seeds 0 1] [--workdir DIR]
 
 Run from anywhere inside a tilesim checkout. The parent is unpacked with
-`git archive REV | tar -x` into a fresh directory under --workdir (a new
-temporary directory if not given); the change is this checkout's working
-tree, uncommitted edits included. Both sides run their own unmodified
-`python3 perfbench/run.py --workload W --seed N --seconds S` as a
-subprocess, one at a time. For every workload and seed it runs --pairs
-pairs, alternating which side goes first, and writes for each end-to-end
-metric of BENCHMARK.json each side's median, quartiles and best, and the
-number of pairs in which the change did better. Host facts (Python version,
-CPU count and model) go in the file too, since the numbers mean nothing on
-another machine.
+`git archive REV | tar -x` into a fresh directory under --workdir, or under
+a temporary directory that is removed afterwards; the change is this
+checkout's working tree, uncommitted edits included. Both sides run their
+own unmodified `python3 perfbench/run.py --workload W --seed N --seconds S`
+as a subprocess, one at a time, with the workloads and the run length S
+(`run_seconds`) that BENCHMARK.json sets. For every workload and seed it
+runs PAIRS pairs, alternating which side goes first, and writes for each
+end-to-end metric of BENCHMARK.json each side's median, quartiles and best,
+and the number of pairs in which the change did better. Host facts (Python
+version, CPU count and model) go in the file too, since the numbers mean
+nothing on another machine.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -92,14 +93,14 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def compare(trees: dict, workload: str, seed: int, pairs: int, seconds: float,
+def compare(trees: dict, workload: str, seed: int, seconds: float,
             metrics: list[dict]) -> dict:
     runs = {"parent": [], "change": []}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
             runs[name].append(run_side(trees[name], workload, seed, seconds))
-        print(f"{workload} seed={seed} pair {i + 1}/{pairs}: " + ", ".join(
+        print(f"{workload} seed={seed} pair {i + 1}/{PAIRS}: " + ", ".join(
             f"{name} {runs[name][-1]['metrics']['guest_kips']:.1f} kIPS"
             for name in ("parent", "change")), file=sys.stderr)
     return {
@@ -117,29 +118,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", required=True, help="the BENCH_<pr>.json to write")
-    parser.add_argument("--workloads", nargs="+", default=["quicksort", "memwalk", "sysio"])
     parser.add_argument("--seeds", nargs="+", type=int, default=[0])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=3.0)
     parser.add_argument("--workdir", help="where to unpack the parent (default: a temp dir)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench-compare-")
-    os.makedirs(workdir, exist_ok=True)
-    trees = {"parent": unpack(args.parent, workdir), "change": ROOT}
+        bench = json.load(fh)
+    seconds, metrics = bench["run_seconds"], bench["end_to_end"]
     dirty = bool(git("status", "--porcelain"))
-    results = [compare(trees, w, seed, args.pairs, args.seconds, metrics)
-               for seed in args.seeds for w in args.workloads]
+    with tempfile.TemporaryDirectory(prefix="bench-compare-") as tmp:
+        workdir = args.workdir or tmp
+        os.makedirs(workdir, exist_ok=True)
+        trees = {"parent": unpack(args.parent, workdir), "change": ROOT}
+        results = [compare(trees, w["name"], seed, seconds, metrics)
+                   for seed in args.seeds for w in bench["workloads"]]
     report = {
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD") + ("+uncommitted" if dirty else ""),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "command": "python3 perfbench/run.py --workload W --seed N --seconds "
-                   f"{args.seconds:g}, {args.pairs} alternating pairs",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g}, "
+                   f"{PAIRS} alternating pairs",
         "host": host_facts(),
         "results": results,
     }
