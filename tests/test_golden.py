@@ -4,6 +4,11 @@ reproduce byte for byte.
 - The corpus (hanoi, binsearch, quicksort) at seeds 0 and 99: sha256 of the
   stats JSON, of the guest stdout and of the `--trace` file
   (`test_bench.py::test_corpus_matches_golden`, which reuses its seed-0 run).
+- hello on two layouts other than the default host-then-guest pair: sha256 of
+  its stats JSON and `--trace` file. They pin the start schedule where the
+  default layout does not reach it: a guest tile below the host tile (ties
+  at one cycle then go to the guest) and a start interrupt that crosses two
+  hops of 3 cycles each.
 - A multi-guest coherence hammer on a tiny geometry: sha256 of its COH/DIR/MEM
   trace and of the fabric counters. The tiny caches make it reach the paths
   that the corpus and the litmus tests never do (L2 inclusion recalls, L1.5
@@ -17,9 +22,15 @@ why the model moved.
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
-from tilesim.config import CacheGeometry, MachineConfig, MeshConfig, TimingConfig
+import pytest
+
+from tilesim import corpus
+from tilesim.config import (GUEST_RV32, HOST_AGENT, CacheGeometry, MachineConfig, MeshConfig,
+                            TimingConfig)
+from tilesim.machine import Machine
 from tilesim.mem import FabricPort, LineState, MemoryFabric
 from tilesim.noc import Noc
 
@@ -40,6 +51,40 @@ def corpus_digests(stats, stdout: bytes, trace_path: str) -> dict:
         "stdout": sha256(stdout),
         "trace": sha256(Path(trace_path).read_bytes()),
     }
+
+
+LAYOUTS = {
+    "guest-host-guest": MachineConfig(tiles=[GUEST_RV32, HOST_AGENT, GUEST_RV32],
+                                      mesh=MeshConfig(width=2, height=2)),
+    "guests-then-host": MachineConfig(tiles=[GUEST_RV32] * 3 + [HOST_AGENT],
+                                      mesh=MeshConfig(width=2, height=2, hop_cycles=3)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_start_schedule_on_layout_matches_golden(layout, tmp_path):
+    cfg = LAYOUTS[layout]
+    cfg.validate()
+    trace_path = tmp_path / "hello.trace"
+    machine = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path),
+                      trace_path=str(trace_path))
+    stats = machine.run()
+    assert bytes(machine.stdout_data) == b"hello\n"
+
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
+    host, guest = cfg.host_tile(), cfg.guest_tile()
+    irq = re.fullmatch(r"IRQ cycle=(\d+) kind=start src=(\d+) dst=(\d+) deliver@(\d+)",
+                       next(line for line in lines if line.startswith("IRQ ")))
+    sent, deliver = int(irq[1]), int(irq[4])
+    assert (int(irq[2]), int(irq[3])) == (host, guest)
+    hops = Noc(cfg.mesh, len(cfg.tiles)).hop_count(host, guest)
+    assert deliver == sent + hops * cfg.mesh.hop_cycles
+    first_fetch = next(line for line in lines
+                       if line.startswith("MEM cycle=") and f" tile={guest} kind=ifetch" in line)
+    assert first_fetch.startswith(f"MEM cycle={deliver} ")
+
+    got = {"stats": sha256(stats.to_json().encode()), "trace": sha256(trace_path.read_bytes())}
+    assert got == load_golden("layouts.json")[layout]
 
 
 HAMMER_OPS = 2000
