@@ -44,10 +44,6 @@ class ElfImage:
     symbols: dict[str, int]
 
     @property
-    def min_addr(self) -> int:
-        return min(s.vaddr for s in self.segments)
-
-    @property
     def max_addr(self) -> int:
         return max(s.vaddr + s.memsz for s in self.segments)
 

@@ -164,14 +164,16 @@ class HostAgent:
         )
 
     def pico_start(self, region: GuestRegion):
-        """Send the start interrupt; the syscall/hypercall/interrupt chain of the
-        modeled stack is collapsed into one action logged as steps 3-5."""
+        """Send the start interrupt and wake the guest at its delivery time; the
+        syscall/hypercall/interrupt chain of the modeled stack is collapsed into
+        one action logged as steps 3-5."""
         if self.image is None:
             raise SimError("step 3: start before load")
         self._trace(f"HOST cycle={self.time} step=3 syscall start-guest")
         self._trace(f"HOST cycle={self.time} step=4 hypercall start-guest")
         delivery = self.machine.noc.send_interrupt(self.tile, self.guest_tile, "start",
                                                    when=self.time)
+        self.machine.cores[self.guest_tile].wake(delivery)
         self._trace(f"HOST cycle={self.time} step=5 interrupt start deliver@{delivery}")
         self._charge(1)
 

@@ -1,10 +1,11 @@
 """Machine assembly and the deterministic event loop.
 
-Agents (guest cores and the host agent) carry their own cycle clocks; the
-scheduler always advances the agent with the smallest local time, breaking
-ties by tile id, and delivers due interrupts before stepping agents at the
-same timestamp. Each agent step is one atomic unit (one guest instruction,
-one host action), so a run is a pure function of (config, seed, binary).
+Agents (guest cores and the host agent) carry their own cycle clocks, and the
+clocks are all the scheduler orders: it always advances the agent with the
+smallest local time, breaking ties by tile id. A guest held in reset has no
+time until the host's start interrupt wakes it at the delivery time. Each
+agent step is one atomic unit (one guest instruction, one host action), so a
+run is a pure function of (config, seed, binary).
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ class CoreAgent:
     def advance(self):
         result = self.core.step()
         self.time += result.cycles
-        if self.core.run_state is not RunState.RUNNING:
+        if self.core.run_state is not RunState.RUNNING:  # halted by a trap
             self.next_time = None
-            self.machine.on_core_halt(self)
+            self.machine.trap = self.core.halt_reason
+            self.machine.finished = True
         else:
             self.next_time = self.time
 
@@ -121,11 +123,6 @@ class Machine:
         self.finished = True
         self.exit_status = status
 
-    def on_core_halt(self, agent: CoreAgent):
-        if agent.core.halted_by_trap:
-            self.trap = agent.core.halt_reason
-            self.finished = True
-
     def _status_watch(self, _addr, data, tx):
         value = int.from_bytes(data, "little")
         if value == STATUS_REQUESTED:
@@ -153,19 +150,11 @@ class Machine:
         agents = self._agent_order
         try:
             while not self.finished:
-                t_irq = min((t for t, _ in self.noc.pending_interrupts()), default=None)
-                chosen = None
+                chosen = None  # the host runs until the run finishes
                 for agent in agents:  # list order is tile order: the tie-break
                     t = agent.next_time
                     if t is not None and (chosen is None or t < chosen.next_time):
                         chosen = agent
-
-                if t_irq is None and chosen is None:
-                    raise SimError("machine is stuck: no runnable agents, no interrupts")
-                if chosen is None or (t_irq is not None and t_irq <= chosen.next_time):
-                    for msg in self.noc.due_interrupts(t_irq):
-                        self._deliver_interrupt(msg, t_irq)
-                    continue
                 if chosen.next_time > limit:
                     raise SimError(f"cycle limit {limit} exceeded (wedged guest?)")
                 chosen.advance()
@@ -176,14 +165,6 @@ class Machine:
                 self._trace_file.close()
                 self._trace_file = None
         return self.stats()
-
-    def _deliver_interrupt(self, msg, now: int):
-        agent = self.cores.get(msg.dst)
-        if agent is None:
-            raise SimError(f"interrupt to tile {msg.dst} which has no core")
-        if msg.irq == "start":
-            agent.wake(now)
-        # other inter-processor interrupts are counted but have no handler here
 
     # -- statistics ----------------------------------------------------------------------
 

@@ -7,11 +7,10 @@ Manhattan distance between their coordinates, the length of any minimal
 (e.g. dimension-ordered) route; no path or link is modelled.
 
 Coherence messages are transferred inside an atomic memory transaction: the
-mesh records injection/delivery, per-pair ordering and hop counts, while the
-transit time is subsumed in the fabric's per-service-level latency budgets.
-Interrupts are genuinely asynchronous: they are queued with a delivery time of
-send + hops * hop_cycles and handed to the machine scheduler.
-"""
+mesh records injection, delivery and hop counts, while the transit time is
+subsumed in the fabric's per-service-level latency budgets. The one interrupt,
+the host's start, arrives send + hops * hop_cycles after it is sent; the
+sender wakes the guest core at that time."""
 
 from __future__ import annotations
 
@@ -46,9 +45,7 @@ class NocMessage:
     subkind: str
     line: int | None = None
     data: bytes | None = None
-    irq: str | None = None  # "start" | "ipi" for interrupts
     inject_cycle: int = 0
-    seq: int = 0
 
 
 @dataclass
@@ -58,9 +55,6 @@ class Noc:
     trace: object = None  # callable(str) or None
     injected: dict = field(default_factory=lambda: {1: 0, 2: 0, 3: 0})
     delivered: dict = field(default_factory=lambda: {1: 0, 2: 0, 3: 0})
-    _seq: int = 0
-    _irq_queue: list = field(default_factory=list)
-    _last_irq_delivery: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_tiles > self.mesh.width * self.mesh.height:
@@ -83,9 +77,7 @@ class Noc:
                  data: bytes | None = None, when: int = 0) -> NocMessage:
         """Inject and deliver one coherence message inside a transaction."""
         channel = CHANNEL_OF[subkind]
-        self._seq += 1
-        msg = NocMessage(channel, src, dst, subkind, line=line, data=data,
-                         inject_cycle=when, seq=self._seq)
+        msg = NocMessage(channel, src, dst, subkind, line=line, data=data, inject_cycle=when)
         self.coord(dst)  # validates
         self.injected[channel] += 1
         self.delivered[channel] += 1
@@ -96,33 +88,16 @@ class Noc:
             )
         return msg
 
-    # -- asynchronous interrupts -------------------------------------------
+    # -- interrupts --------------------------------------------------------
 
     def send_interrupt(self, src: int, dst: int, irq: str, when: int) -> int:
-        """Queue an interrupt; returns its delivery time (hops x hop latency)."""
-        self._seq += 1
+        """Count and trace one interrupt; returns its delivery time."""
         delivery = when + self.hop_count(src, dst) * self.mesh.hop_cycles
-        # per-(src,dst) FIFO: never deliver before an earlier message on the pair
-        floor = self._last_irq_delivery.get((src, dst), 0)
-        delivery = max(delivery, floor)
-        self._last_irq_delivery[(src, dst)] = delivery
-        msg = NocMessage(CH_WB_IRQ, src, dst, "Interrupt", irq=irq,
-                         inject_cycle=when, seq=self._seq)
         self.injected[CH_WB_IRQ] += 1
-        self._irq_queue.append((delivery, msg.seq, msg))
-        self._irq_queue.sort()
+        self.delivered[CH_WB_IRQ] += 1
         if self.trace:
             self.trace(f"IRQ cycle={when} kind={irq} src={src} dst={dst} deliver@{delivery}")
         return delivery
-
-    def due_interrupts(self, now: int) -> list[NocMessage]:
-        due = [m for t, _, m in self._irq_queue if t <= now]
-        self._irq_queue = [e for e in self._irq_queue if e[0] > now]
-        self.delivered[CH_WB_IRQ] += len(due)
-        return due
-
-    def pending_interrupts(self) -> list[tuple[int, NocMessage]]:
-        return [(t, m) for t, _, m in self._irq_queue]
 
     # -- accounting ---------------------------------------------------------
 

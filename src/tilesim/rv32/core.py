@@ -111,22 +111,6 @@ class Rv32Core:
         self.run_state = RunState.HALTED
         self.halt_reason = reason
 
-    @property
-    def halted_by_trap(self) -> bool:
-        return self.run_state is RunState.HALTED and not (self.halt_reason or "").startswith(
-            "exit"
-        )
-
-    # -- CSR file ----------------------------------------------------------------
-
-    def read_csr(self, csr: int) -> int:
-        """Cycle-counter halves; anything else is a trap (no privileged state)."""
-        if csr == CSR_CYCLE:
-            return self.cycle_counter & M32
-        if csr == CSR_CYCLEH:
-            return (self.cycle_counter >> 32) & M32
-        raise _Trap(f"csr 0x{csr:03x} not implemented")
-
     # -- stepping ----------------------------------------------------------------
 
     def step(self) -> StepResult:

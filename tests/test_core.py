@@ -195,9 +195,11 @@ def test_load_consumes_five_execution_cycles_plus_memory():
 
 
 def test_rdcycle_fresh_state_reads_zero():
-    core, _ = make_core("nop")
-    assert core.read_csr(0xC00) == 0
-    assert core.read_csr(0xC80) == 0
+    core, _ = make_core("rdcycleh a0")
+    assert core.cycle_counter == 0
+    core.regs[10] = 0xFFFF_FFFF  # so that the read must write the zero
+    core.step()
+    assert core.regs[10] == 0
 
 
 def test_rdcycleh_zero_below_2_32():

@@ -167,9 +167,9 @@ def test_2x2_mesh_with_idle_extra_guest(tmp_path):
 def test_second_start_interrupt_is_recorded_noop():
     cfg = small_config()
     machine = Machine(cfg, binary=guest_blob("main: li a0, 7\n ret", cfg))
-    # queue an extra start interrupt by hand before running
-    machine.noc.send_interrupt(cfg.host_tile(), cfg.guest_tile(), "start", when=0)
-    machine.noc.send_interrupt(cfg.host_tile(), cfg.guest_tile(), "start", when=0)
+    # release the guest by hand at cycle 1, after the host's one-step load
+    # (the host is the lower tile), so the host's own start is the second
+    machine.cores[cfg.guest_tile()].wake(1)
     stats = machine.run()
     assert stats["exit_status"] == 7
     assert machine.cores[cfg.guest_tile()].core.ignored_start_interrupts >= 1
