@@ -1,4 +1,5 @@
-"""The summary that tools/bench_compare.py writes into BENCH_<pr>.json."""
+"""The summary and the src size that tools/bench_compare.py writes into
+BENCH_<pr>.json."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +43,15 @@ def test_summary_needs_complete_pairs(tool):
         tool.summarize([1.0, 2.0], [1.0], "higher")
     with pytest.raises(ValueError):
         tool.summarize([1.0], [2.0], "higher")
+
+
+def test_src_lines_counts_every_package_module_and_nothing_else(tool, tmp_path):
+    pkg = tmp_path / "src" / "tilesim"
+    (pkg / "mem").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("a\nb\nc\n")
+    (pkg / "mem" / "cache.py").write_text("x\ny")  # no final newline: 1 line, as wc -l
+    (pkg / "corpus.s").write_text("not python\n")
+    (tmp_path / "src" / "other.py").write_text("outside the package\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("t\n")
+    assert tool.src_lines(str(tmp_path)) == 4

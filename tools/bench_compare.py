@@ -12,15 +12,17 @@ as a subprocess, one at a time, with the workloads and the run length S
 (`run_seconds`) that BENCHMARK.json sets. For every workload and seed it
 runs PAIRS pairs, alternating which side goes first, and writes for each
 end-to-end metric of BENCHMARK.json each side's median, quartiles and best,
-and the number of pairs in which the change did better. Host facts (Python
-version, CPU count and model) go in the file too, since the numbers mean
-nothing on another machine.
+and the number of pairs in which the change did better. Each tree's
+`src/tilesim/**/*.py` line count goes in the file too, counted the same way
+on both sides, and so do host facts (Python version, CPU count and model),
+since the numbers mean nothing on another machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import glob
 import json
 import os
 import platform
@@ -64,6 +66,15 @@ def host_facts() -> dict:
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "nproc": nproc, "cpu_model": model,
             "platform": platform.platform()}
+
+
+def src_lines(tree: str) -> int:
+    """Lines of `src/tilesim/**/*.py` in `tree`, counted as `wc -l` does."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "tilesim", "**", "*.py"), recursive=True):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def git(*args: str) -> str:
@@ -130,6 +141,7 @@ def main(argv=None) -> int:
         workdir = args.workdir or tmp
         os.makedirs(workdir, exist_ok=True)
         trees = {"parent": unpack(args.parent, workdir), "change": ROOT}
+        lines = {name: src_lines(tree) for name, tree in trees.items()}
         results = [compare(trees, w["name"], seed, seconds, metrics)
                    for seed in args.seeds for w in bench["workloads"]]
     report = {
@@ -139,6 +151,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g}, "
                    f"{PAIRS} alternating pairs",
         "host": host_facts(),
+        "src_lines": lines,
         "results": results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
