@@ -10,7 +10,8 @@ Coherence messages are transferred inside an atomic memory transaction: the
 mesh records injection, delivery and hop counts, while the transit time is
 subsumed in the fabric's per-service-level latency budgets. The one interrupt,
 the host's start, arrives send + hops * hop_cycles after it is sent; the
-sender wakes the guest core at that time."""
+sender wakes the guest core at that time.
+"""
 
 from __future__ import annotations
 

@@ -77,7 +77,7 @@ def test_start_schedule_on_layout_matches_golden(layout, tmp_path):
                        next(line for line in lines if line.startswith("IRQ ")))
     sent, deliver = int(irq[1]), int(irq[4])
     assert (int(irq[2]), int(irq[3])) == (host, guest)
-    hops = Noc(cfg.mesh, len(cfg.tiles)).hop_count(host, guest)
+    hops = machine.noc.hop_count(host, guest)
     assert deliver == sent + hops * cfg.mesh.hop_cycles
     first_fetch = next(line for line in lines
                        if line.startswith("MEM cycle=") and f" tile={guest} kind=ifetch" in line)
