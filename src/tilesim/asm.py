@@ -35,10 +35,6 @@ class Program:
     symbols: dict[str, int]
     entry: int
 
-    @property
-    def end(self) -> int:
-        return self.base + len(self.data)
-
 
 # ---------------------------------------------------------------------------
 # expression evaluation

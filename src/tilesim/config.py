@@ -20,6 +20,22 @@ GUEST_RV32 = "guest-rv32"
 MAILBOX_SIZE = 64
 
 
+@dataclass(frozen=True)
+class GuestRegion:
+    """The shared guest region; the mailbox is its top MAILBOX_SIZE bytes."""
+
+    base: int
+    size: int
+
+    @property
+    def top(self) -> int:
+        return self.base + self.size
+
+    @property
+    def mailbox_addr(self) -> int:
+        return self.top - MAILBOX_SIZE
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
@@ -54,7 +70,6 @@ class TimingConfig:
     dram_jitter_cycles: int = 1
     load_store_exec_cycles: int = 5
     l15_to_l2_cycles: int = 20
-    rng_seed: int | None = None  # None: inherit the machine seed
     alu_cycles: int = 3
     branch_cycles: int = 3
     jump_cycles: int = 3
@@ -129,8 +144,8 @@ class MachineConfig:
             raise ConfigError("stack_size must be in [1024, region size)")
 
     @property
-    def rng_seed(self) -> int:
-        return self.timing.rng_seed if self.timing.rng_seed is not None else self.seed
+    def region(self) -> GuestRegion:
+        return GuestRegion(self.guest_base, self.guest_region_size)
 
     def guest_tile(self) -> int:
         return self.tiles.index(GUEST_RV32)

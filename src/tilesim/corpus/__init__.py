@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.resources
 
 from ..asm import assemble
-from ..config import MAILBOX_SIZE, MachineConfig
+from ..config import MachineConfig
 from ..elf import program_to_elf
 from ..errors import SimError
 
@@ -32,7 +32,7 @@ def read_source(name: str) -> str:
 
 
 def standard_defines(config: MachineConfig) -> dict[str, int]:
-    mailbox = config.guest_base + config.guest_region_size - MAILBOX_SIZE
+    mailbox = config.region.mailbox_addr
     seed = config.seed or 0x9E3779B9  # xorshift32 state must be nonzero
     return {
         "MAILBOX_BASE": mailbox,

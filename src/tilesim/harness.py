@@ -194,11 +194,7 @@ def run_latency_probe(config: MachineConfig, jitter: bool = True,
     load_trials, store_trials = [], []
     if jitter:
         for trial in range(trials):
-            cfg = dataclasses.replace(
-                config,
-                timing=dataclasses.replace(config.timing, rng_seed=None),
-                seed=config.seed + trial,
-            )
+            cfg = dataclasses.replace(config, seed=config.seed + trial)
             cfg.validate()
             load_trials.append(_measure("load", False, cfg))
             store_trials.append(_measure("store", False, cfg))

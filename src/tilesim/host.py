@@ -17,27 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import MAILBOX_SIZE, MachineConfig
+from .config import MAILBOX_SIZE, GuestRegion, MachineConfig
 from .elf import ElfImage
 from .errors import LoadError, SimError
 from .mailbox import HostMailbox
 from .mem.fabric import FabricPort
 from .syscalls import ExitRequest, SyscallHandler
-
-
-@dataclass
-class GuestRegion:
-    base: int
-    size: int
-    mailbox_offset: int
-
-    @property
-    def mailbox_addr(self) -> int:
-        return self.base + self.mailbox_offset
-
-    @property
-    def top(self) -> int:
-        return self.base + self.size
 
 
 @dataclass
@@ -70,7 +55,7 @@ class GuestImage:
 
     @property
     def heap_start(self) -> int:
-        return (max(s.vaddr + s.memsz for s in self.elf.segments) + 15) & ~15
+        return (self.elf.max_addr + 15) & ~15
 
 
 class HostAgent:
@@ -126,9 +111,8 @@ class HostAgent:
             raise SimError("step 1: physical map exhausted")
         if size % MAILBOX_SIZE:
             raise SimError("step 1: region size must be 64-byte aligned")
-        region = GuestRegion(base, size, size - MAILBOX_SIZE)
-        if self.region is None:  # idempotent re-setup keeps the same window
-            self.machine.fabric.register_window(base, size)
+        region = GuestRegion(base, size)
+        self.machine.fabric.register_window(base, size)
         # fresh-machine zero-fill: caches hold nothing of the region yet, so
         # writing the backing store directly is equivalent to coherent stores
         self.machine.fabric.dram[base : base + size] = b"\x00" * size
@@ -206,27 +190,24 @@ class HostAgent:
 
     def advance(self):
         if self.phase == "setup":
-            region = self.pico_setup(self.config.guest_region_size)
-            self.handler = SyscallHandler(
-                sandbox_dir=self.machine.sandbox_dir,
-                read_bytes=self.read_guest_bytes,
-                write_bytes=self.write_guest_bytes,
-                stdout=self.machine.write_stdout,
-                stderr=self.machine.write_stderr,
-                heap_start=0,
-                heap_limit=0,
-                log=self.machine.trace,
-            )
+            self.pico_setup(self.config.guest_region_size)
             self.phase = "load"
         elif self.phase == "load":
             elf = self.machine.parse_binary()  # raises LoadError with step naming
             image = GuestImage.validate(elf, self.region, self.config.reset_vector,
                                         self.config.stack_size)
             self.load_binary(image, self.region)
-            self.handler.heap_start = image.heap_start
-            self.handler.heap_end = image.heap_start
-            self.handler.heap_limit = self.region.mailbox_addr - image.stack_size
-            self.handler.guest_top = self.region.top
+            self.handler = SyscallHandler(
+                sandbox_dir=self.machine.sandbox_dir,
+                read_bytes=self.read_guest_bytes,
+                write_bytes=self.write_guest_bytes,
+                stdout=self.machine.write_stdout,
+                stderr=self.machine.write_stderr,
+                heap_start=image.heap_start,
+                heap_limit=self.region.mailbox_addr - image.stack_size,
+                guest_top=self.region.top,
+                log=self.machine.trace,
+            )
             self.phase = "start"
         elif self.phase == "start":
             self.pico_start(self.region)

@@ -92,8 +92,7 @@ def _mini_machine(n_agents: int) -> tuple[MemoryFabric, list[FabricPort]]:
     return fabric, ports
 
 
-def run_schedule(programs: list[list[Op]], schedule: tuple[int, ...],
-                 check: bool = True) -> tuple:
+def run_schedule(programs: list[list[Op]], schedule: tuple[int, ...]) -> tuple:
     """Execute one interleaving on a fresh machine; returns the loaded values
     in (agent, program-order) order."""
     fabric, ports = _mini_machine(len(programs))
@@ -107,21 +106,20 @@ def run_schedule(programs: list[list[Op]], schedule: tuple[int, ...],
         else:
             value, _ = ports[agent].load(op.addr, 4)
             loads[agent].append(value)
-        if check:
-            fabric.check_global_invariants()
+        fabric.check_global_invariants()
     if any(c != len(p) for c, p in zip(cursors, programs)):
         raise SimError("schedule did not run every operation")  # stuck state
     return tuple(v for per_agent in loads for v in per_agent)
 
 
-def explore(programs: list[list[Op]], check: bool = True) -> set[tuple]:
+def explore(programs: list[list[Op]]) -> set[tuple]:
     """Outcome set over every interleaving; asserts invariants throughout."""
     total_ops = sum(len(p) for p in programs)
     if total_ops > 8:
         raise SimError("explorer is for desk scale (<= 8 operations)")
     outcomes = set()
     for schedule in _schedules([len(p) for p in programs]):
-        outcomes.add(run_schedule(programs, schedule, check=check))
+        outcomes.add(run_schedule(programs, schedule))
     return outcomes
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .config import GUEST_RV32, MAILBOX_SIZE, MachineConfig
+from .config import GUEST_RV32, MachineConfig
 from .elf import parse_elf
 from .errors import LoadError, SimError
 from .host import HostAgent
@@ -96,8 +96,7 @@ class Machine:
         self.syscall_count = 0
         self.syscall_roundtrip_cycles = 0
         self._syscall_started: int | None = None
-        status_addr = config.guest_base + config.guest_region_size - MAILBOX_SIZE + OFF_STATUS
-        self.fabric.watch(status_addr, self._status_watch)
+        self.fabric.watch(config.region.mailbox_addr + OFF_STATUS, self._status_watch)
 
         order = [(config.host_tile(), self.host)]
         order += [(tile, agent) for tile, agent in sorted(self.cores.items())]
@@ -181,16 +180,7 @@ class Machine:
         counters["syscalls.count"] = self.syscall_count
         counters["syscalls.roundtrip_cycles"] = self.syscall_roundtrip_cycles
         counters["host.syscalls_serviced"] = self.host.syscalls_serviced
-        for tile in range(len(self.config.tiles)):
-            for side in ("ifetch", "data"):
-                for event in ("accesses", "hits", "misses"):
-                    key = f"l15.tile{tile}.{side}_{event}"
-                    counters[key] = self.fabric.stats.get(key, 0)
-            for event in ("lookups", "hits", "misses"):
-                key = f"l2.tile{tile}.{event}"
-                counters[key] = self.fabric.stats.get(key, 0)
-        counters["dram.reads"] = self.fabric.stats.get("dram.reads", 0)
-        counters["dram.writes"] = self.fabric.stats.get("dram.writes", 0)
+        counters.update(self.fabric.counts())
         counters.update(self.noc.counts())
         return RunStats(counters)
 

@@ -64,7 +64,10 @@ KIND_IFETCH = "ifetch"
 KIND_LOAD = "load"
 KIND_STORE = "store"
 
-_L15_EVENTS = ("accesses", "hits", "misses")
+# counter slots: a tile's L1.5 list holds the ifetch side, then the data side
+_L15_KEYS = tuple(f"{side}_{event}" for side in ("ifetch", "data")
+                  for event in ("accesses", "hits", "misses"))
+_L2_KEYS = ("lookups", "hits", "misses")
 
 
 @dataclass(slots=True)
@@ -99,7 +102,7 @@ class DirectoryEntry:
 class FabricPort:
     """Per-agent access port; values are little-endian compositions of the
     bytes at addr, addr+1, ... Host ports (enforce_windows) are confined to
-    registered shared windows; the guest addresses physical memory freely.
+    the registered shared window; the guest addresses physical memory freely.
     A tile outside the fabric raises ConfigError when the port is built.
     """
 
@@ -115,7 +118,7 @@ class FabricPort:
 
     def _check_window(self, addr: int, width: int):
         if self.enforce_windows and not self.fabric.in_window(addr, width):
-            raise MemoryFault(addr, "outside every registered shared window")
+            raise MemoryFault(addr, "outside the registered shared window")
 
     def fetch(self, addr: int) -> tuple[int, int]:
         data, tx = self.fabric.access(self.tile, KIND_IFETCH, addr, 4, now=self.now_fn())
@@ -147,19 +150,28 @@ class MemoryFabric:
         self.l2 = [CacheArray(geo.l2_slice_size_bytes, geo.l2_associativity, self.line_size)
                    for _ in range(self.n_tiles)]
         self.dirs: list[dict[int, DirectoryEntry]] = [{} for _ in range(self.n_tiles)]
-        self.rng = random.Random(config.rng_seed)
-        self.windows: list[tuple[int, int]] = []
+        self.rng = random.Random(config.seed)
+        self.window = (0, 0)  # (base, size) of the host's shared window; none yet
         self.watches: dict[int, list] = {}
         self.shadow = bytearray(config.dram_size) if config.check_data_values else None
-        self.stats: dict[str, int] = {}  # a key appears once its count is non-zero
-        # the hit path's counter keys, built once: [tile][side] = (accesses, hits, misses)
-        self._l15_keys = [{side: tuple(f"l15.tile{t}.{side}_{e}" for e in _L15_EVENTS)
-                           for side in ("ifetch", "data")} for t in range(self.n_tiles)]
+        self.l15_counts = [[0] * len(_L15_KEYS) for _ in range(self.n_tiles)]
+        self.l2_counts = [[0] * len(_L2_KEYS) for _ in range(self.n_tiles)]
+        self.dram_reads = 0
+        self.dram_writes = 0
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _bump(self, key: str, by: int = 1):
-        self.stats[key] = self.stats.get(key, 0) + by
+    def counts(self) -> dict:
+        """Every counter under its stats key, zeros included."""
+        out = {}
+        for tile in range(self.n_tiles):
+            out.update((f"l15.tile{tile}.{key}", n)
+                       for key, n in zip(_L15_KEYS, self.l15_counts[tile]))
+            out.update((f"l2.tile{tile}.{key}", n)
+                       for key, n in zip(_L2_KEYS, self.l2_counts[tile]))
+        out["dram.reads"] = self.dram_reads
+        out["dram.writes"] = self.dram_writes
+        return out
 
     def home_of(self, line_addr: int) -> int:
         return (line_addr // self.line_size) % self.n_tiles
@@ -169,10 +181,11 @@ class MemoryFabric:
             raise SimError("zero-length shared window rejected")
         if base < 0 or base + size > len(self.dram):
             raise MemoryFault(base, "window outside the physical map")
-        self.windows.append((base, size))
+        self.window = (base, size)
 
     def in_window(self, addr: int, width: int) -> bool:
-        return any(base <= addr and addr + width <= base + size for base, size in self.windows)
+        base, size = self.window
+        return base <= addr and addr + width <= base + size
 
     def watch(self, addr: int, callback):
         self.watches.setdefault(addr, []).append(callback)
@@ -186,12 +199,12 @@ class MemoryFabric:
         timing = self.config.timing
         jitter = timing.dram_jitter_cycles
         latency = timing.dram_access_cycles + (self.rng.randint(-jitter, jitter) if jitter else 0)
-        self._bump("dram.reads")
+        self.dram_reads += 1
         return bytes(self.dram[line_addr : line_addr + self.line_size]), latency
 
     def dram_write(self, line_addr: int, data: bytes):
         self.dram[line_addr : line_addr + self.line_size] = data
-        self._bump("dram.writes")
+        self.dram_writes += 1
 
     # -- the one entry point ---------------------------------------------------
 
@@ -208,16 +221,16 @@ class MemoryFabric:
         if offset + width > self.line_size:
             raise SimError("access straddles a line")  # impossible for aligned width<=4
 
-        stats = self.stats
-        accesses, hits, misses = self._l15_keys[tile]["ifetch" if kind == KIND_IFETCH else "data"]
-        stats[accesses] = stats.get(accesses, 0) + 1
+        counts = self.l15_counts[tile]
+        side = 0 if kind == KIND_IFETCH else 3  # the slot of the side's accesses
+        counts[side] += 1
         cache = self.l15[tile]
         line = cache.lookup(line_addr)
         if line is not None and (kind != KIND_STORE or line.state is LineState.MODIFIED):
-            stats[hits] = stats.get(hits, 0) + 1
+            counts[side + 1] += 1
             serviced, latency = SERVICED_L15, self.config.timing.l15_hit_cycles
         else:
-            stats[misses] = stats.get(misses, 0) + 1
+            counts[side + 2] += 1
             op = "GetModified" if kind == KIND_STORE else "GetShared"
             serviced, latency = self._transact(tile, line_addr, op, now)
             line = cache.lookup(line_addr)
@@ -391,14 +404,15 @@ class MemoryFabric:
         """The home's entry and L2 line, fetched from DRAM on an L2 miss, with
         the level that serviced the request and its latency."""
         slice_ = self.l2[home]
-        self._bump(f"l2.tile{home}.lookups")
+        counts = self.l2_counts[home]
+        counts[0] += 1
         l2line = slice_.lookup(line_addr)
         if l2line is not None:
-            self._bump(f"l2.tile{home}.hits")
+            counts[1] += 1
             slice_.touch(l2line)
             return (self.dirs[home][line_addr], l2line,
                     SERVICED_L2, self.config.timing.l15_to_l2_cycles)
-        self._bump(f"l2.tile{home}.misses")
+        counts[2] += 1
         data, latency = self.dram_read(line_addr)
         victim = slice_.victim(line_addr)
         if victim.valid:

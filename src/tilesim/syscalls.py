@@ -71,9 +71,9 @@ class SyscallHandler:
     stderr: object
     heap_start: int = 0
     heap_limit: int = 0
+    guest_top: int = 0  # 0: path copies are not cut
     log: object = None  # callable(str) or None
     heap_end: int = 0
-    guest_top: int = field(default=0, init=False)  # 0: path copies are not cut
     fds: dict[int, int] = field(default_factory=dict)
     _next_fd: int = 3
 

@@ -26,7 +26,7 @@ import sc_oracle
 import test_insn
 from tilesim import corpus, mailbox as mb
 from tilesim.cli import main as cli_main
-from tilesim.config import MachineConfig
+from tilesim.config import MAILBOX_SIZE, MachineConfig
 from tilesim.harness import l15_data_miss_rate, run_bench, run_isa_suite, run_latency_probe
 from tilesim.litmus import Op, TESTS, explore, run_litmus
 from tilesim.machine import Machine
@@ -189,7 +189,7 @@ def test_criterion_4_syscall_proxy_end_to_end(config, tmp_path):
             assert result == (number + 1, 0)
         assert len(serviced) == 1000
         port = FabricPort(fabric, 0)
-        for off in range(mb.OFF_RESERVED, mb.MAILBOX_BYTES, 4):
+        for off in range(mb.OFF_RESERVED, MAILBOX_SIZE, 4):
             assert port.load(test_mailbox.MB_BASE + off, 4)[0] == 0
 
 

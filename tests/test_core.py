@@ -411,7 +411,7 @@ def test_store_over_code_runs_the_new_word_through_the_fabric():
     _run_store_to_code(core)
     # the fetches and the store met in the guest's private cache
     assert fabric.l15[guest].lookup(config.reset_vector).state.value == "M"
-    assert fabric.stats[f"l15.tile{guest}.ifetch_hits"] > 0
+    assert fabric.counts()[f"l15.tile{guest}.ifetch_hits"] > 0
 
 
 def test_csr_set_or_clear_with_a_source_is_a_write_attempt():

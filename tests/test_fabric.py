@@ -241,7 +241,7 @@ def test_port_rejects_tile_outside_fabric():
     for tile in (fabric.n_tiles, -1):
         with pytest.raises(ConfigError, match=rf"tile {tile}\b"):
             FabricPort(fabric, tile)
-    assert fabric.stats == {}
+    assert set(fabric.counts().values()) == {0}
     assert all(d == {} for d in fabric.dirs)
 
 
@@ -255,7 +255,7 @@ def test_stats_hits_plus_misses_equals_accesses():
             port.load(addr, 4)
         else:
             port.store(addr, 4, rng.getrandbits(32))
-    s = fabric.stats
+    s = fabric.counts()
     assert s["l15.tile1.data_accesses"] == 200
     assert s["l15.tile1.data_hits"] + s["l15.tile1.data_misses"] == 200
     fabric.check_global_invariants()

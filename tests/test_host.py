@@ -90,8 +90,7 @@ def test_load_rejects_segment_outside_region():
         segments=[elfmod.Segment(cfg.guest_base - 0x1000, b"\x13\x00\x00\x00", 4)],
         symbols={},
     )
-    region = GuestRegion(cfg.guest_base, cfg.guest_region_size,
-                         cfg.guest_region_size - 64)
+    region = GuestRegion(cfg.guest_base, cfg.guest_region_size)
     with pytest.raises(LoadError, match="outside the guest region"):
         GuestImage.validate(image, region, cfg.reset_vector, cfg.stack_size)
 
@@ -107,8 +106,7 @@ def test_load_rejects_mailbox_overlap():
         ],
         symbols={},
     )
-    region = GuestRegion(cfg.guest_base, cfg.guest_region_size,
-                         cfg.guest_region_size - 64)
+    region = GuestRegion(cfg.guest_base, cfg.guest_region_size)
     with pytest.raises(LoadError, match="mailbox|stack"):
         GuestImage.validate(image, region, cfg.reset_vector, cfg.stack_size)
 

@@ -1,15 +1,19 @@
 """End-to-end machine runs: the full load/start/service pipeline, determinism,
 conservation laws, and the trace replay against the flat-memory oracle."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import flat_oracle
 from tilesim import corpus
 from tilesim.asm import assemble
-from tilesim.config import MachineConfig
+from tilesim.config import MachineConfig, MeshConfig
 from tilesim.elf import program_to_elf
 from tilesim.errors import SimError
 from tilesim.machine import Machine
+from tilesim.mailbox import OFF_STATUS
 
 
 def small_config(**kw):
@@ -162,6 +166,53 @@ def test_2x2_mesh_with_idle_extra_guest(tmp_path):
     assert bytes(machine.stdout_data) == b"hello\n"
     idle = machine.cores[2].core
     assert idle.instret == 0  # never released from reset
+
+
+def documented_stats_keys(n_tiles: int) -> set[str]:
+    """Expand the key patterns of docs/abi.md's statistics schema: `{a,b}`
+    alternatives, `tileN` over every tile and `chN` over the three channels."""
+    abi = (Path(__file__).parent.parent / "docs" / "abi.md").read_text(encoding="utf-8")
+    section = abi.split("\n## Statistics schema\n", 1)[1].split("\n## ", 1)[0]
+    patterns = re.findall(r"`([a-z][a-z0-9_.{},N]*)`", section)
+    ranges = {"tileN": [f"tile{t}" for t in range(n_tiles)],
+              "chN": [f"ch{ch}" for ch in (1, 2, 3)]}
+
+    def expand(pattern):
+        m = re.search(r"\{([^}]*)\}|tileN|chN", pattern)
+        if m is None:
+            return [pattern]
+        options = ranges.get(m.group(0)) or m.group(1).split(",")
+        return [key for option in options
+                for key in expand(pattern[:m.start()] + option + pattern[m.end():])]
+
+    return {key for pattern in patterns for key in expand(pattern)}
+
+
+LAYOUTS = {
+    "default": {},
+    "2x2-idle-guest": {"mesh": MeshConfig(width=2, height=2),
+                       "tiles": ["host-agent", "guest-rv32", "guest-rv32"]},
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_stats_keys_match_the_documented_schema(layout, tmp_path):
+    cfg = small_config(**LAYOUTS[layout])
+    stats = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path)).run()
+    assert set(stats.counters) == documented_stats_keys(len(cfg.tiles))
+
+
+def test_mailbox_address_agrees_everywhere(tmp_path):
+    cfg = small_config()
+    cfg.guest_region_size = 192 * 1024  # not the default, nor small_config's
+    mailbox = corpus.standard_defines(cfg)["MAILBOX_BASE"]
+    assert mailbox != MachineConfig().region.mailbox_addr
+    machine = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path))
+    assert list(machine.fabric.watches) == [mailbox + OFF_STATUS]  # the status watch
+    machine.run()
+    assert bytes(machine.stdout_data) == b"hello\n"
+    assert machine.host.region.mailbox_addr == mailbox
+    assert machine.host.mailbox.base == mailbox
 
 
 def test_second_start_interrupt_is_recorded_noop():

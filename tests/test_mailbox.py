@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from guest_stub import GuestRequester, guest_request
 from tilesim import mailbox as mb
-from tilesim.config import MachineConfig, MeshConfig
+from tilesim.config import MAILBOX_SIZE, MachineConfig, MeshConfig
 from tilesim.errors import SimError
 from tilesim.mem import FabricPort, MemoryFabric
 from tilesim.noc import Noc
@@ -28,14 +29,14 @@ MB_BASE = 0x40000  # 64-byte aligned scratch area
 
 def make_pair():
     fabric, _ = make_fabric()
-    guest = mb.GuestRequester(FabricPort(fabric, 1), MB_BASE)
+    guest = GuestRequester(FabricPort(fabric, 1), MB_BASE)
     host = mb.HostMailbox(FabricPort(fabric, 0), MB_BASE)
     return fabric, guest, host
 
 
 def test_layout_is_frozen():
     # ABI v1: these offsets are load-bearing for the guest runtime
-    assert mb.MAILBOX_BYTES == 64
+    assert MAILBOX_SIZE == 64
     assert mb.OFF_STATUS == 0
     assert mb.OFF_NUMBER == 4
     assert mb.OFF_ARGS == 8
@@ -49,8 +50,8 @@ def test_layout_is_frozen():
 def test_poll_on_empty_and_done_returns_none():
     fabric, guest, host = make_pair()
     assert host.poll() is None  # EMPTY
-    result = mb.guest_request(guest.port, MB_BASE, 64, [1, 2, 3],
-                              host_service=lambda: _serve(host, lambda n, a: (7, 0)))
+    result = guest_request(guest.port, MB_BASE, 64, [1, 2, 3],
+                           host_service=lambda: _serve(host, lambda n, a: (7, 0)))
     assert result == (7, 0)
     assert host.poll() is None  # back to EMPTY
 
@@ -71,16 +72,16 @@ def test_request_decodes_number_and_args():
         seen["args"] = args
         return 5, 0
 
-    mb.guest_request(guest.port, MB_BASE, 64, [1, 0xDEADBEEF, 5],
-                     host_service=lambda: _serve(host, fn))
+    guest_request(guest.port, MB_BASE, 64, [1, 0xDEADBEEF, 5],
+                  host_service=lambda: _serve(host, fn))
     assert seen["number"] == 64
     assert seen["args"] == [1, 0xDEADBEEF, 5, 0, 0, 0]
 
 
 def test_errno_propagates():
     fabric, guest, host = make_pair()
-    ret, err = mb.guest_request(guest.port, MB_BASE, 9999, [],
-                                host_service=lambda: _serve(host, lambda n, a: (-1, 38)))
+    ret, err = guest_request(guest.port, MB_BASE, 9999, [],
+                             host_service=lambda: _serve(host, lambda n, a: (-1, 38)))
     assert ret == 0xFFFFFFFF  # -1 as stored
     assert err == 38
 
@@ -96,7 +97,7 @@ def test_guest_request_while_busy_asserts():
     guest.start(64, [])
     for _ in range(12):
         guest.step()  # walks past the status write without the host replying
-    second = mb.GuestRequester(FabricPort(fabric, 1), MB_BASE)
+    second = GuestRequester(FabricPort(fabric, 1), MB_BASE)
     second.start(64, [])
     with pytest.raises(SimError, match="busy"):
         second.step()
@@ -171,7 +172,7 @@ def test_fuzz_1000_syscalls_random_poll_intervals():
 
 
 def _assert_reserved_zero(port):
-    for off in range(mb.OFF_RESERVED, mb.MAILBOX_BYTES, 4):
+    for off in range(mb.OFF_RESERVED, MAILBOX_SIZE, 4):
         value, _ = port.load(MB_BASE + off, 4)
         assert value == 0, f"reserved word at +{off} dirtied"
 

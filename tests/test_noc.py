@@ -60,7 +60,7 @@ def test_interrupt_count_conservation():
     for i in range(10):
         noc.send_interrupt(0, 1, "ipi", when=i)
     assert noc.injected[CH_WB_IRQ] == 10
-    assert noc.delivered[CH_WB_IRQ] == 10
+    assert noc.counts()["noc.ch3.delivered"] == 10
 
 
 def test_coherence_transfer_counts_both_sides():
@@ -68,5 +68,5 @@ def test_coherence_transfer_counts_both_sides():
     noc.transfer("GetShared", 0, 1, 0x1000)
     noc.transfer("DataShared", 1, 0, 0x1000, data=b"\x00" * 16)
     assert noc.injected == {1: 1, 2: 1, 3: 0}
-    assert noc.delivered == {1: 1, 2: 1, 3: 0}
+    assert [noc.counts()[f"noc.ch{ch}.delivered"] for ch in (1, 2, 3)] == [1, 1, 0]
 
