@@ -14,6 +14,10 @@ reproduce byte for byte.
   that the corpus and the litmus tests never do (L2 inclusion recalls, L1.5
   dirty writebacks, invalidations of stale sharers); a test-local wrapper
   asserts that it still reaches each of them.
+- The latency probe: its no-jitter table, and the exact uncached load and
+  store latencies of 8 jittered trials at seed 0. The lists lock the order
+  in which runs draw DRAM jitter, where the acceptance test checks only
+  their range.
 
 The files under tests/golden/ change only in a commit of their own that says
 why the model moved.
@@ -30,6 +34,7 @@ import pytest
 from tilesim import corpus
 from tilesim.config import (GUEST_RV32, HOST_AGENT, CacheGeometry, MachineConfig, MeshConfig,
                             TimingConfig)
+from tilesim.harness import run_latency_probe
 from tilesim.machine import Machine
 from tilesim.mem import FabricPort, LineState, MemoryFabric
 from tilesim.noc import Noc
@@ -85,6 +90,14 @@ def test_start_schedule_on_layout_matches_golden(layout, tmp_path):
 
     got = {"stats": sha256(stats.to_json().encode()), "trace": sha256(trace_path.read_bytes())}
     assert got == load_golden("layouts.json")[layout]
+
+
+def test_latency_probe_matches_golden():
+    golden = load_golden("probe.json")
+    assert run_latency_probe(MachineConfig(seed=0), jitter=False).lines() == golden["no_jitter"]
+    jittered = run_latency_probe(MachineConfig(seed=0), jitter=True, trials=8)
+    assert {"loads": jittered.uncached_load_trials,
+            "stores": jittered.uncached_store_trials} == golden["jitter_seed0_trials8"]
 
 
 HAMMER_OPS = 2000
