@@ -8,8 +8,8 @@
     simctl assemble SRC [SRC...] -o OUT [--base ADDR] [--define NAME=VALUE ...]
 
 Exit status: the guest's exit code for `run`; 0/1 for the suites. Failed runs
-print a diagnostic naming the pipeline step (0 arguments, 1 setup, 2 load,
-3-5 start) that broke.
+print a diagnostic naming the pipeline step that broke (0 arguments, 2 load);
+a bad config fails before the run, with exit status 2.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Machine assembly and the deterministic event loop.
 
-Agents (guest cores and the host agent) carry their own cycle clocks, and the
-clocks are all the scheduler orders: it always advances the agent with the
-smallest local time, breaking ties by tile id. A guest held in reset has no
-time until the host's start interrupt wakes it at the delivery time. Each
-agent step is one atomic unit (one guest instruction, one host action), so a
-run is a pure function of (config, seed, binary).
+Two agents carry cycle clocks: the host agent and one guest core, on the
+first guest tile; later guest tiles are fabric tiles that run nothing. A run
+boots the host first (setup, load, start) in one call. That is exact: the
+guest is held in reset until the start interrupt wakes it at the delivery
+time. The loop then merges the two clocks, always advancing the smaller one
+and breaking ties by tile id. Each step is one atomic unit (one guest
+instruction, one mailbox poll), so a run is a pure function of (config,
+seed, binary).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .config import GUEST_RV32, MachineConfig
+from .config import MachineConfig
 from .elf import parse_elf
 from .errors import LoadError, SimError
 from .host import HostAgent
@@ -48,23 +50,18 @@ class CoreAgent:
         self.port.now_fn = lambda: self.time
         self.core = Rv32Core(port=self.port, reset_vector=cfg.reset_vector, timing=cfg.timing)
         self.time = 0
-        self.next_time: int | None = None  # held in reset: nothing scheduled
 
     def wake(self, at: int):
+        if self.core.run_state is RunState.HELD_IN_RESET:
+            self.time = at  # the clock starts when the core leaves reset
         self.core.deliver_start_interrupt()
-        if self.core.run_state is RunState.RUNNING and self.next_time is None:
-            self.time = max(self.time, at)
-            self.next_time = self.time
 
     def advance(self):
         result = self.core.step()
         self.time += result.cycles
         if self.core.run_state is not RunState.RUNNING:  # halted by a trap
-            self.next_time = None
             self.machine.trap = self.core.halt_reason
             self.machine.finished = True
-        else:
-            self.next_time = self.time
 
 
 class Machine:
@@ -80,11 +77,8 @@ class Machine:
         self.noc = Noc(config.mesh, len(config.tiles), trace=self.trace)
         self.fabric = MemoryFabric(config, self.noc, trace=self.trace)
 
-        self.cores: dict[int, CoreAgent] = {}
-        for tile, kind in enumerate(config.tiles):
-            if kind == GUEST_RV32:
-                self.cores[tile] = CoreAgent(self, tile)
-        self.host = HostAgent(self, config.host_tile(), config.guest_tile())
+        self.guest = CoreAgent(self, config.guest_tile())
+        self.host = HostAgent(self, config.host_tile())
 
         self.finished = False
         self.exit_status: int | None = None
@@ -97,10 +91,6 @@ class Machine:
         self.syscall_roundtrip_cycles = 0
         self._syscall_started: int | None = None
         self.fabric.watch(config.region.mailbox_addr + OFF_STATUS, self._status_watch)
-
-        order = [(config.host_tile(), self.host)]
-        order += [(tile, agent) for tile, agent in sorted(self.cores.items())]
-        self._agent_order = [agent for _, agent in sorted(order, key=lambda p: p[0])]
 
     # -- plumbing for the agents ------------------------------------------------
 
@@ -146,17 +136,15 @@ class Machine:
 
     def run(self) -> RunStats:
         limit = self.config.sim_cycle_limit
-        agents = self._agent_order
+        host, guest = self.host, self.guest
         try:
+            host.boot()
             while not self.finished:
-                chosen = None  # the host runs until the run finishes
-                for agent in agents:  # list order is tile order: the tie-break
-                    t = agent.next_time
-                    if t is not None and (chosen is None or t < chosen.next_time):
-                        chosen = agent
-                if chosen.next_time > limit:
+                # the smaller clock goes next; the lower tile wins a tie
+                agent = guest if (guest.time, guest.tile) < (host.time, host.tile) else host
+                if agent.time > limit:
                     raise SimError(f"cycle limit {limit} exceeded (wedged guest?)")
-                chosen.advance()
+                agent.advance()
         finally:
             if self.host.handler:
                 self.host.handler.close_all()
@@ -169,14 +157,12 @@ class Machine:
 
     def stats(self) -> RunStats:
         counters: dict = {"schema_version": STATS_SCHEMA_VERSION}
-        times = [self.host.time] + [a.time for a in self.cores.values()]
-        counters["total_cycles"] = max(times)
+        counters["total_cycles"] = max(self.host.time, self.guest.time)
         counters["exit_status"] = self.exit_status
         counters["guest_trap"] = self.trap
         counters["tohost"] = self.tohost_value
-        counters["guest_instructions"] = sum(a.core.instret for a in self.cores.values())
-        counters["guest_cycles"] = max((a.core.cycle_counter for a in self.cores.values()),
-                                       default=0)
+        counters["guest_instructions"] = self.guest.core.instret
+        counters["guest_cycles"] = self.guest.core.cycle_counter
         counters["syscalls.count"] = self.syscall_count
         counters["syscalls.roundtrip_cycles"] = self.syscall_roundtrip_cycles
         counters["host.syscalls_serviced"] = self.host.syscalls_serviced

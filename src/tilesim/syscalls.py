@@ -73,9 +73,9 @@ class SyscallHandler:
     heap_limit: int = 0
     guest_top: int = 0  # 0: path copies are not cut
     log: object = None  # callable(str) or None
-    heap_end: int = 0
-    fds: dict[int, int] = field(default_factory=dict)
-    _next_fd: int = 3
+    heap_end: int = field(init=False)  # the break: heap_start until brk moves it
+    fds: dict[int, int] = field(init=False, default_factory=dict)
+    _next_fd: int = field(init=False, default=3)
 
     def __post_init__(self):
         self.heap_end = self.heap_start

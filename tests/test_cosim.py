@@ -1,6 +1,6 @@
 """Lockstep co-simulation: the guest core against the flat-memory stepper of
-tests/cosim.py, one instruction at a time, over the corpus and the bundled
-rv32ui suite.
+tests/cosim.py, one instruction at a time, over the corpus, the bundled
+rv32ui suite and the benchmark's memwalk and sysio guests.
 
 The machine runs as usual. Wrappers on the instance (as test_golden.py puts
 them) mirror every host-tile store into the stepper's memory as it happens
@@ -8,6 +8,9 @@ them) mirror every host-tile store into the stepper's memory as it happens
 step the stepper once and compare pc, the 32 registers and instret. A step
 the core traps on must be one the stepper traps on too.
 """
+
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +21,12 @@ from tilesim.elf import parse_elf
 from tilesim.harness import _suite_config, bundled_suite_elves
 from tilesim.machine import Machine
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 
 def lockstep(machine) -> cosim.FlatCpu:
-    """Wrap the machine's one guest core and its fabric; returns the stepper."""
-    (agent,) = machine.cores.values()
-    core, fabric = agent.core, machine.fabric
+    """Wrap the machine's guest core and its fabric; returns the stepper."""
+    core, fabric = machine.guest.core, machine.fabric
     ref = cosim.FlatCpu(len(fabric.dram), machine.config.reset_vector)
     host = machine.config.host_tile()
     access, step = fabric.access, core.step
@@ -60,6 +64,20 @@ def test_corpus_runs_in_lockstep(name):
     ref = lockstep(machine)
     machine.run()
     assert machine.trap is None and machine.exit_status == 0
+    assert ref.instret == machine.stats()["guest_instructions"] > 1000
+
+
+@pytest.mark.parametrize("name", ["memwalk", "sysio"])
+def test_perfbench_guest_runs_in_lockstep(name, tmp_path, monkeypatch):
+    """The benchmark's own seed-0 build, sandbox and output check."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    w = importlib.import_module("workloads").make(name, 0)
+    config = w.config()
+    sandbox = w.make_sandbox(str(tmp_path / "sandbox"))
+    machine = Machine(config, binary=w.build(config), sandbox_dir=sandbox or str(tmp_path))
+    ref = lockstep(machine)
+    machine.run()
+    assert w.check(machine, sandbox) == []
     assert ref.instret == machine.stats()["guest_instructions"] > 1000
 
 

@@ -9,7 +9,7 @@ from tilesim import corpus
 from tilesim.asm import assemble
 from tilesim.config import MachineConfig
 from tilesim.elf import program_to_elf
-from tilesim.errors import LoadError, MemoryFault, SimError
+from tilesim.errors import ConfigError, LoadError, MemoryFault
 from tilesim.host import GuestImage, GuestRegion
 from tilesim.machine import Machine
 from tilesim import elf as elfmod
@@ -38,7 +38,7 @@ def make_machine(source: str | None = None, config=None, **machine_kw):
 
 def test_setup_returns_region_at_configured_base():
     m = make_machine()
-    region = m.host.pico_setup(m.config.guest_region_size)
+    region = m.host.pico_setup()
     assert region.base == 0x0001_0000
     assert region.mailbox_addr == region.top - 64
     assert m.fabric.in_window(region.base, 4)
@@ -46,23 +46,23 @@ def test_setup_returns_region_at_configured_base():
     assert not m.fabric.in_window(region.top, 4)
 
 
-def test_setup_zero_size_rejected():
-    m = make_machine()
-    with pytest.raises(SimError, match="step 1"):
-        m.host.pico_setup(0)
+def test_config_rejects_zero_region_size():
+    with pytest.raises(ConfigError, match="guest_region_size must be >= 4096"):
+        MachineConfig(guest_region_size=0).validate()
 
 
-def test_setup_exhausted_map_rejected():
-    m = make_machine()
-    with pytest.raises(SimError, match="step 1"):
-        m.host.pico_setup(1 << 30)
+def test_config_rejects_region_past_dram():
+    cfg = MachineConfig()
+    MachineConfig(dram_size=cfg.guest_base + cfg.guest_region_size).validate()  # ends at the top
+    with pytest.raises(ConfigError, match="guest region exceeds the physical map"):
+        MachineConfig(dram_size=cfg.guest_base + cfg.guest_region_size - 64).validate()
 
 
 def test_setup_idempotent_reuse():
     m = make_machine()
-    r1 = m.host.pico_setup(m.config.guest_region_size)
+    r1 = m.host.pico_setup()
     m.fabric.dram[r1.base] = 0xAB
-    r2 = m.host.pico_setup(m.config.guest_region_size)
+    r2 = m.host.pico_setup()
     assert (r2.base, r2.size) == (r1.base, r1.size)
     assert m.fabric.dram[r1.base] == 0  # re-setup zero-fills
 
@@ -78,7 +78,7 @@ def _blob(source: str, cfg, base=None):
 def test_load_rejects_wrong_entry():
     cfg = small_config()
     m = Machine(cfg, binary=_blob("nop", cfg, base=cfg.guest_base + 0x100))
-    region = m.host.pico_setup(cfg.guest_region_size)
+    region = m.host.pico_setup()
     with pytest.raises(LoadError, match="reset vector"):
         GuestImage.validate(m.parse_binary(), region, cfg.reset_vector, cfg.stack_size)
 
@@ -119,23 +119,16 @@ def test_loader_roundtrip_through_fabric():
     program = assemble("_start: nop", base=cfg.guest_base)
     blob = program_to_elf(program)
     m = Machine(cfg, binary=blob)
-    region = m.host.pico_setup(cfg.guest_region_size)
+    region = m.host.pico_setup()
     image = GuestImage.validate(m.parse_binary(), region, cfg.reset_vector, cfg.stack_size)
-    m.host.load_binary(image, region)
+    m.host.load_binary(image)
     # hand-load an extra blob via the host helpers
     addr = cfg.guest_base + 0x4000
     m.host.write_guest_bytes(addr, payload)
     assert m.host.read_guest_bytes(addr, len(payload)) == payload
-    guest_port = m.cores[cfg.guest_tile()].port
+    guest_port = m.guest.port
     got = bytes(guest_port.load(addr + i, 1)[0] for i in range(len(payload)))
     assert got == payload
-
-
-def test_pico_start_before_load_rejected():
-    m = make_machine()
-    m.host.pico_setup(m.config.guest_region_size)
-    with pytest.raises(SimError, match="step 3"):
-        m.host.pico_start(m.host.region)
 
 
 def test_start_trace_has_three_labeled_substeps(tmp_path):
@@ -152,7 +145,7 @@ def test_guest_running_after_start():
     m = make_machine("main: li a0, 0\n ret")
     stats = m.run()
     assert stats["exit_status"] == 0
-    core = m.cores[m.config.guest_tile()].core
+    core = m.guest.core
     assert core.instret > 0
 
 
@@ -333,6 +326,14 @@ def test_handler_brk(tmp_path):
     assert new == 0x2000
     bad, _ = handler.handle(214, [0x9000, 0, 0, 0, 0, 0])
     assert bad == 0x2000  # out of bounds: old break returned
+
+
+@pytest.mark.parametrize("state", ["heap_end", "fds", "_next_fd"])
+def test_handler_state_is_not_a_constructor_argument(tmp_path, state):
+    with pytest.raises(TypeError, match=state):
+        make_handler(tmp_path, **{state: 0x2000})
+    handler, _, _, _ = make_handler(tmp_path)
+    assert handler.handle(214, [0, 0, 0, 0, 0, 0]) == (0x1000, 0)  # brk(0): heap_start
 
 
 def test_handler_exit_raises(tmp_path):

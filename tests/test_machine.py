@@ -14,6 +14,7 @@ from tilesim.elf import program_to_elf
 from tilesim.errors import SimError
 from tilesim.machine import Machine
 from tilesim.mailbox import OFF_STATUS
+from tilesim.rv32 import RunState
 
 
 def small_config(**kw):
@@ -141,8 +142,8 @@ def test_trace_mismatch_is_detected(tmp_path):
 def test_interrupt_wakes_guest_after_routed_delay():
     cfg = small_config()
     machine = Machine(cfg, binary=guest_blob("main: li a0, 0\n ret", cfg))
-    guest = machine.cores[cfg.guest_tile()]
-    assert guest.next_time is None  # held in reset
+    guest = machine.guest
+    assert guest.core.run_state is RunState.HELD_IN_RESET
     machine.run()
     assert guest.core.instret > 0
     assert machine.exit_status == 0
@@ -164,8 +165,9 @@ def test_2x2_mesh_with_idle_extra_guest(tmp_path):
     stats = machine.run()
     assert stats["exit_status"] == 0
     assert bytes(machine.stdout_data) == b"hello\n"
-    idle = machine.cores[2].core
-    assert idle.instret == 0  # never released from reset
+    assert machine.guest.tile == 1  # the only guest agent: tile 2 runs nothing
+    tile2 = {key: n for key, n in stats.counters.items() if key.startswith("l15.tile2.")}
+    assert tile2 and not any(tile2.values())
 
 
 def documented_stats_keys(n_tiles: int) -> set[str]:
@@ -218,9 +220,9 @@ def test_mailbox_address_agrees_everywhere(tmp_path):
 def test_second_start_interrupt_is_recorded_noop():
     cfg = small_config()
     machine = Machine(cfg, binary=guest_blob("main: li a0, 7\n ret", cfg))
-    # release the guest by hand at cycle 1, after the host's one-step load
-    # (the host is the lower tile), so the host's own start is the second
-    machine.cores[cfg.guest_tile()].wake(1)
+    # release the guest by hand at cycle 1, before the host boots, so the
+    # host's own start is the second
+    machine.guest.wake(1)
     stats = machine.run()
     assert stats["exit_status"] == 7
-    assert machine.cores[cfg.guest_tile()].core.ignored_start_interrupts >= 1
+    assert machine.guest.core.ignored_start_interrupts >= 1
