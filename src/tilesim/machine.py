@@ -22,7 +22,7 @@ from .host import HostAgent
 from .mailbox import OFF_STATUS, STATUS_EMPTY, STATUS_REQUESTED
 from .mem.fabric import FabricPort, MemoryFabric
 from .noc import Noc
-from .rv32 import RunState, Rv32Core
+from .rv32.core import RunState, Rv32Core
 
 STATS_SCHEMA_VERSION = 1
 

@@ -9,17 +9,19 @@ one owner, empty sharer set).
 
 A memory operation is one atomic transaction that completes before the next
 scheduler event, so the directory has no transient states. A miss runs as one
-call chain, and each step sends its message over the mesh:
+chain of direct calls. Each step sends its message on the mesh, which counts
+and traces it and carries nothing, and then calls the handler at the far end:
 
     request     the requester sends GetShared/GetModified to the line's home
+                (`directory_handle`)
     recalls     the home fetches the line into its L2 slice (from DRAM, first
                 recalling an L2 victim from its holders), then downgrades the
-                owner or invalidates the other holders; each answers with an
-                ack that carries the data of a Modified copy
-    data reply  the home moves the directory entry and sends DataShared or
-                DataModified to the requester
-    install     the requester's cache installs the line, writing back a
-                Modified victim to that victim's home
+                owner or invalidates the other holders (`cache_handle`); each
+                acks and returns the data of a Modified copy
+    data reply  the home moves the directory entry, sends DataShared or
+                DataModified and returns the line's data to the requester
+    install     the requester's cache installs the line, first writing back
+                a Modified victim to that victim's home (`_writeback`)
 
 Hits change no coherence state. The single-writer and directory invariants
 are checked after each miss, for the requested line and for every line it
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 
 from ..config import MachineConfig
 from ..errors import ConfigError, MemoryFault, ProtocolError, SimError
-from ..noc import Noc, NocMessage
+from ..noc import Noc
 from .cache import CacheArray, CacheLine, LineState
 
 SERVICED_L15 = "L15"
@@ -73,12 +75,9 @@ _L2_KEYS = ("lookups", "hits", "misses")
 @dataclass(slots=True)
 class MemoryTransaction:
     origin: int
-    address: int
-    width: int
-    kind: str
-    issue_cycle: int = 0
-    complete_cycle: int = 0
-    serviced_by: str = SERVICED_L15
+    issue_cycle: int
+    complete_cycle: int
+    serviced_by: str
 
     @property
     def latency(self) -> int:
@@ -254,10 +253,7 @@ class MemoryFabric:
                     f"read {out.hex()} expected {self.shadow[addr:addr + width].hex()}"
                 )
 
-        tx = MemoryTransaction(
-            origin=tile, address=addr, width=width, kind=kind,
-            issue_cycle=now, complete_cycle=now + latency, serviced_by=serviced,
-        )
+        tx = MemoryTransaction(tile, now, now + latency, serviced)
         if self.trace:
             self.trace(
                 f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={width}"
@@ -274,45 +270,31 @@ class MemoryFabric:
         """Run one miss: request, recalls, data reply, install. Returns the
         level that serviced the line and the latency charged for it."""
         home = self.home_of(line_addr)
-        request = self.noc.transfer(op, tile, home, line_addr, when=now)
-        reply, serviced, latency = self.directory_handle(home, request)
-        self.cache_handle(tile, reply)
+        self.noc.transfer(op, tile, home, line_addr, now)
+        data, serviced, latency = self.directory_handle(home, op, tile, line_addr, now)
+        state = LineState.SHARED if op == "GetShared" else LineState.MODIFIED
+        self._install_l15(tile, line_addr, data, state, now)
         return serviced, latency
 
     # -- directory side ------------------------------------------------------------
 
-    def directory_handle(self, home: int, msg: NocMessage):
-        """One MSI transition at the home slice. A GetShared or GetModified
-        recalls the copies it must, then returns (data reply, serviced level,
-        latency); a Writeback returns None."""
-        line_addr, src, sub, now = msg.line, msg.src, msg.subkind, msg.inject_cycle
-
-        if sub == "Writeback":
-            entry = self.dirs[home].get(line_addr)
-            l2line = self.l2[home].lookup(line_addr)
-            if entry is None or l2line is None:
-                raise ProtocolError(f"Writeback for untracked line 0x{line_addr:08x}")
-            if entry.state is not LineState.MODIFIED or entry.owner != src:
-                raise ProtocolError(
-                    f"Writeback from non-owner tile {src} for 0x{line_addr:08x}"
-                )
-            l2line.data = bytearray(msg.data)
-            self._transition(home, line_addr, entry, LineState.INVALID, None, set(), now)
-            return None
-
-        if sub not in ("GetShared", "GetModified"):
-            raise ProtocolError(f"directory cannot handle {sub}")
+    def directory_handle(self, home: int, op: str, src: int, line_addr: int,
+                         now: int) -> tuple[bytes, str, int]:
+        """One MSI transition at the home slice for a GetShared or GetModified
+        from `src`: recall the copies it must, send the data reply, and return
+        (line data, serviced level, latency)."""
         entry, l2line, serviced, latency = self._l2_get(home, line_addr, now)
-        if sub == "GetShared":
+        if op == "GetShared":
             if entry.state is LineState.MODIFIED:
                 owner = entry.owner
-                ack = self.cache_handle(
-                    owner, self.noc.transfer("Downgrade", home, owner, line_addr, when=now))
-                l2line.data = bytearray(ack.data)
+                self.noc.transfer("Downgrade", home, owner, line_addr, now)
+                data = self.cache_handle(owner, "Downgrade", home, line_addr, now)
+                l2line.data = bytearray(data)
                 sharers = {owner, src}
             else:
                 sharers = entry.sharers | {src}
             self._transition(home, line_addr, entry, LineState.SHARED, None, sharers, now)
+            reply = "DataShared"
         else:
             if entry.state is LineState.MODIFIED:
                 if entry.owner == src:
@@ -321,16 +303,30 @@ class MemoryFabric:
             else:
                 holders = sorted(entry.sharers - {src})
             # every Invalidate goes out before the first ack comes back
-            invalidates = [self.noc.transfer("Invalidate", home, t, line_addr, when=now)
-                           for t in holders]
-            for t, inv in zip(holders, invalidates):
-                ack = self.cache_handle(t, inv)
-                if ack.data is not None:
-                    l2line.data = bytearray(ack.data)
+            for t in holders:
+                self.noc.transfer("Invalidate", home, t, line_addr, now)
+            for t in holders:
+                data = self.cache_handle(t, "Invalidate", home, line_addr, now)
+                if data is not None:
+                    l2line.data = bytearray(data)
             self._transition(home, line_addr, entry, LineState.MODIFIED, src, set(), now)
-        reply = self.noc.transfer("DataShared" if sub == "GetShared" else "DataModified",
-                                  home, src, line_addr, data=bytes(l2line.data), when=now)
-        return reply, serviced, latency
+            reply = "DataModified"
+        self.noc.transfer(reply, home, src, line_addr, now)
+        return bytes(l2line.data), serviced, latency
+
+    def _writeback(self, tile: int, line_addr: int, data: bytes, now: int):
+        """`tile` writes its Modified copy back to the home, which takes the
+        entry to Invalid."""
+        home = self.home_of(line_addr)
+        self.noc.transfer("Writeback", tile, home, line_addr, now)
+        entry = self.dirs[home].get(line_addr)
+        l2line = self.l2[home].lookup(line_addr)
+        if entry is None or l2line is None:
+            raise ProtocolError(f"Writeback for untracked line 0x{line_addr:08x}")
+        if entry.state is not LineState.MODIFIED or entry.owner != tile:
+            raise ProtocolError(f"Writeback from non-owner tile {tile} for 0x{line_addr:08x}")
+        l2line.data = bytearray(data)
+        self._transition(home, line_addr, entry, LineState.INVALID, None, set(), now)
 
     def _transition(self, home: int, line_addr: int, entry: DirectoryEntry,
                     state: LineState, owner: int | None, sharers: set[int], now: int):
@@ -346,38 +342,27 @@ class MemoryFabric:
 
     # -- cache side ------------------------------------------------------------------
 
-    def cache_handle(self, tile: int, msg: NocMessage) -> NocMessage | None:
-        """Apply one message at a tile's private cache. A Downgrade or an
-        Invalidate returns its ack (with the data of a Modified copy); a data
-        reply installs the line and returns None."""
-        line_addr, sub = msg.line, msg.subkind
+    def cache_handle(self, tile: int, op: str, home: int, line_addr: int,
+                     now: int) -> bytes | None:
+        """Apply a Downgrade or an Invalidate from `home` at a tile's private
+        cache and send its ack; returns the data of a Modified copy, or None."""
         line = self.l15[tile].lookup(line_addr)
-
-        if sub == "Invalidate":
-            data = None
-            if line is not None:
-                if line.state is LineState.MODIFIED:
-                    data = bytes(line.data)
-                line.state = LineState.INVALID
-            # a silent S-eviction can leave the sharer set stale: ack regardless
-            return self.noc.transfer("InvalidateAck", tile, msg.src, line_addr,
-                                     data=data, when=msg.inject_cycle)
-
-        if sub == "Downgrade":
+        if op == "Downgrade":
             if line is None or line.state is not LineState.MODIFIED:
                 raise ProtocolError(
                     f"Downgrade to tile {tile} which does not own 0x{line_addr:08x}"
                 )
             line.state = LineState.SHARED
-            return self.noc.transfer("DowngradeAck", tile, msg.src, line_addr,
-                                     data=bytes(line.data), when=msg.inject_cycle)
-
-        if sub in ("DataShared", "DataModified"):
-            state = LineState.SHARED if sub == "DataShared" else LineState.MODIFIED
-            self._install_l15(tile, line_addr, msg.data, state, msg.inject_cycle)
-            return None
-
-        raise ProtocolError(f"cache cannot handle {sub}")
+            self.noc.transfer("DowngradeAck", tile, home, line_addr, now)
+            return bytes(line.data)
+        data = None
+        if line is not None:
+            if line.state is LineState.MODIFIED:
+                data = bytes(line.data)
+            line.state = LineState.INVALID
+        # a silent S-eviction can leave the sharer set stale: ack regardless
+        self.noc.transfer("InvalidateAck", tile, home, line_addr, now)
+        return data
 
     def _install_l15(self, tile: int, line_addr: int, data: bytes, state: LineState, now: int):
         cache = self.l15[tile]
@@ -388,9 +373,7 @@ class MemoryFabric:
             return
         victim = cache.victim(line_addr)
         if victim.state is LineState.MODIFIED:
-            home = self.home_of(victim.addr)
-            self.directory_handle(home, self.noc.transfer(
-                "Writeback", tile, home, victim.addr, data=bytes(victim.data), when=now))
+            self._writeback(tile, victim.addr, bytes(victim.data), now)
         # Shared lines evict silently; the directory keeps a stale superset.
         if victim.valid:
             victim.state = LineState.INVALID
@@ -426,15 +409,15 @@ class MemoryFabric:
         line_addr = victim.addr
         entry = self.dirs[home].pop(line_addr)
         if entry.state is LineState.MODIFIED:
-            msg = self.noc.transfer("Invalidate", home, entry.owner, line_addr, when=now)
-            ack = self.cache_handle(entry.owner, msg)
-            if ack.data is None:
+            self.noc.transfer("Invalidate", home, entry.owner, line_addr, now)
+            data = self.cache_handle(entry.owner, "Invalidate", home, line_addr, now)
+            if data is None:
                 raise ProtocolError(f"recall of 0x{line_addr:08x} returned no data")
-            victim.data = bytearray(ack.data)
+            victim.data = bytearray(data)
         elif entry.state is LineState.SHARED:
             for tile in sorted(entry.sharers):
-                msg = self.noc.transfer("Invalidate", home, tile, line_addr, when=now)
-                self.cache_handle(tile, msg)
+                self.noc.transfer("Invalidate", home, tile, line_addr, now)
+                self.cache_handle(tile, "Invalidate", home, line_addr, now)
         self.dram_write(line_addr, bytes(victim.data))
         victim.state = LineState.INVALID
         self._check_line_invariants(line_addr)

@@ -6,11 +6,12 @@ The mesh models hop distance only: a message between two tiles crosses the
 Manhattan distance between their coordinates, the length of any minimal
 (e.g. dimension-ordered) route; no path or link is modelled.
 
-Coherence messages are transferred inside an atomic memory transaction: the
-mesh counts messages per channel and traces hop counts, while the transit
-time is subsumed in the fabric's per-service-level latency budgets. The one interrupt,
-the host's start, arrives send + hops * hop_cycles after it is sent; the
-sender wakes the guest core at that time.
+Coherence messages are sent inside an atomic memory transaction. The mesh
+counts each one on its channel and traces its hop count; it carries no
+payload, because the fabric calls the receiving handler directly. Transit
+time is subsumed in the fabric's per-service-level latency budgets. The one
+interrupt, the host's start, arrives send + hops * hop_cycles after it is
+sent; the sender wakes the guest core at that time.
 """
 
 from __future__ import annotations
@@ -38,16 +39,6 @@ CHANNEL_OF = {
     "Interrupt": CH_WB_IRQ,
 }
 
-@dataclass
-class NocMessage:
-    channel: int
-    src: int
-    dst: int
-    subkind: str
-    line: int | None = None
-    data: bytes | None = None
-    inject_cycle: int = 0
-
 
 @dataclass
 class Noc:
@@ -73,19 +64,16 @@ class Noc:
 
     # -- synchronous coherence transfer ------------------------------------
 
-    def transfer(self, subkind: str, src: int, dst: int, line: int | None = None,
-                 data: bytes | None = None, when: int = 0) -> NocMessage:
-        """Inject and deliver one coherence message inside a transaction."""
+    def transfer(self, subkind: str, src: int, dst: int, line: int, when: int = 0):
+        """Count and trace one coherence message sent inside a transaction."""
         channel = CHANNEL_OF[subkind]
-        msg = NocMessage(channel, src, dst, subkind, line=line, data=data, inject_cycle=when)
         self.coord(dst)  # validates
         self.injected[channel] += 1
         if self.trace:
             self.trace(
                 f"COH cycle={when} ch={channel} {subkind} src={src} dst={dst}"
-                f" line=0x{(line or 0):08x} hops={self.hop_count(src, dst)}"
+                f" line=0x{line:08x} hops={self.hop_count(src, dst)}"
             )
-        return msg
 
     # -- interrupts --------------------------------------------------------
 

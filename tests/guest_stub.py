@@ -6,7 +6,7 @@ from __future__ import annotations
 from tilesim.errors import SimError
 from tilesim.mailbox import (NUM_ARGS, OFF_ARGS, OFF_ERRNO, OFF_NUMBER, OFF_RETVAL,
                              OFF_STATUS, STATUS_DONE, STATUS_EMPTY, STATUS_REQUESTED)
-from tilesim.mem import FabricPort
+from tilesim.mem.fabric import FabricPort
 
 
 class GuestRequester:

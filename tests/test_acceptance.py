@@ -30,7 +30,7 @@ from tilesim.config import MAILBOX_SIZE, MachineConfig
 from tilesim.harness import l15_data_miss_rate, run_bench, run_isa_suite, run_latency_probe
 from tilesim.litmus import Op, TESTS, explore, run_litmus
 from tilesim.machine import Machine
-from tilesim.mem import FabricPort
+from tilesim.mem.fabric import FabricPort
 
 
 @contextlib.contextmanager

@@ -2,7 +2,7 @@
 
 import random
 
-from tilesim.mem import CacheArray, LineState
+from tilesim.mem.cache import CacheArray, LineState
 
 
 def scan(array, line_addr):

@@ -9,7 +9,7 @@ import rvoracle
 from tilesim.asm import assemble
 from tilesim.config import TimingConfig, load_config
 from tilesim.errors import ConfigError, MemoryFault, SimError
-from tilesim.rv32 import RunState, Rv32Core
+from tilesim.rv32.core import RunState, Rv32Core
 
 
 class FlatPort:
@@ -395,7 +395,7 @@ def test_store_over_code_runs_the_new_word_on_flat_port():
 
 def test_store_over_code_runs_the_new_word_through_the_fabric():
     from tilesim.config import MachineConfig
-    from tilesim.mem import FabricPort, MemoryFabric
+    from tilesim.mem.fabric import FabricPort, MemoryFabric
     from tilesim.noc import Noc
 
     config = MachineConfig()

@@ -8,14 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tilesim.config import CacheGeometry, MachineConfig, MeshConfig, TimingConfig
 from tilesim.errors import ConfigError, MemoryFault, ProtocolError, SimError
-from tilesim.mem import (
-    FabricPort,
-    LineState,
-    MemoryFabric,
-    SERVICED_DRAM,
-    SERVICED_L15,
-    SERVICED_L2,
-)
+from tilesim.mem.cache import LineState
+from tilesim.mem.fabric import FabricPort, MemoryFabric, SERVICED_DRAM, SERVICED_L15, SERVICED_L2
 from tilesim.noc import Noc
 
 
@@ -217,12 +211,20 @@ def test_lru_touch_updates_recency():
 
 def test_protocol_violation_asserts():
     fabric = make_fabric(n_guests=2)
-    from tilesim.noc import NocMessage
+    with pytest.raises(ProtocolError, match="untracked"):
+        fabric._writeback(1, 0x1000, b"x" * 16, 0)
+    guest_port(fabric, 2).store(0x1000, 4, 1)  # tile 2 owns the line
+    with pytest.raises(ProtocolError, match="non-owner tile 1"):
+        fabric._writeback(1, 0x1000, b"x" * 16, 0)
 
-    with pytest.raises(ProtocolError):
-        fabric.directory_handle(0, NocMessage(2, 1, 0, "DowngradeAck", line=0x1000, data=b"x"))
-    with pytest.raises(ProtocolError):
-        fabric.directory_handle(0, NocMessage(3, 1, 0, "Writeback", line=0x1000, data=b"x" * 16))
+
+def test_downgrade_to_non_owner_asserts():
+    fabric = make_fabric(n_guests=2)
+    with pytest.raises(ProtocolError, match="does not own"):
+        fabric.cache_handle(1, "Downgrade", 0, 0x1000, 0)  # tile 1 holds nothing
+    guest_port(fabric, 1).load(0x1000, 4)
+    with pytest.raises(ProtocolError, match="does not own"):
+        fabric.cache_handle(1, "Downgrade", 0, 0x1000, 0)  # a Shared copy is not owned
 
 
 def test_timing_closure_classification():

@@ -11,9 +11,10 @@ reproduce byte for byte.
   hops of 3 cycles each.
 - A multi-guest coherence hammer on a tiny geometry: sha256 of its COH/DIR/MEM
   trace and of the fabric counters. The tiny caches make it reach the paths
-  that the corpus and the litmus tests never do (L2 inclusion recalls, L1.5
-  dirty writebacks, invalidations of stale sharers); a test-local wrapper
-  asserts that it still reaches each of them.
+  that the corpus and the default-geometry litmus tests never do (L2
+  inclusion recalls, L1.5 dirty writebacks, invalidations of stale sharers);
+  wrappers from tests/coherence_paths.py assert that it still reaches each
+  of them.
 - The latency probe: its no-jitter table, and the exact uncached load and
   store latencies of 8 jittered trials at seed 0. The lists lock the order
   in which runs draw DRAM jitter, where the acceptance test checks only
@@ -31,12 +32,14 @@ from pathlib import Path
 
 import pytest
 
+from coherence_paths import watch_coherence_paths
 from tilesim import corpus
 from tilesim.config import (GUEST_RV32, HOST_AGENT, CacheGeometry, MachineConfig, MeshConfig,
                             TimingConfig)
 from tilesim.harness import run_latency_probe
 from tilesim.machine import Machine
-from tilesim.mem import FabricPort, LineState, MemoryFabric
+from tilesim.mem.cache import LineState
+from tilesim.mem.fabric import FabricPort, MemoryFabric
 from tilesim.noc import Noc
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -118,35 +121,6 @@ def hammer_fabric(trace):
     )
     cfg.validate()
     return MemoryFabric(cfg, Noc(cfg.mesh, len(tiles), trace=trace), trace=trace)
-
-
-def watch_coherence_paths(fabric) -> set:
-    """Wrap the fabric instance's handlers; returns the set of coherence
-    paths that the run goes on to reach."""
-    reached = set()
-    cache_handle, directory_handle = fabric.cache_handle, fabric.directory_handle
-    evict_l2 = fabric._evict_l2
-
-    def on_cache(tile, msg):
-        line = fabric.l15[tile].lookup(msg.line)
-        held = line.state.value if line is not None else "stale"
-        if msg.subkind in ("Downgrade", "Invalidate"):
-            reached.add(f"{msg.subkind}:{held}")
-        return cache_handle(tile, msg)
-
-    def on_directory(home, msg):
-        if msg.subkind == "Writeback":
-            reached.add("Writeback")
-        return directory_handle(home, msg)
-
-    def on_evict_l2(home, victim, *args):
-        reached.add(f"L2 recall:{fabric.dirs[home][victim.addr].state.value}")
-        return evict_l2(home, victim, *args)
-
-    fabric.cache_handle = on_cache
-    fabric.directory_handle = on_directory
-    fabric._evict_l2 = on_evict_l2
-    return reached
 
 
 def test_multi_guest_hammer_matches_golden():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import rvoracle
 from tilesim.errors import DecodeError
-from tilesim.rv32 import OpClass, decode
+from tilesim.rv32.insn import OpClass, decode
 
 
 def test_canonical_nop():

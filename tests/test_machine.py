@@ -14,7 +14,7 @@ from tilesim.elf import program_to_elf
 from tilesim.errors import SimError
 from tilesim.machine import Machine
 from tilesim.mailbox import OFF_STATUS
-from tilesim.rv32 import RunState
+from tilesim.rv32.core import RunState
 
 
 def small_config(**kw):

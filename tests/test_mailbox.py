@@ -9,7 +9,7 @@ from guest_stub import GuestRequester, guest_request
 from tilesim import mailbox as mb
 from tilesim.config import MAILBOX_SIZE, MachineConfig, MeshConfig
 from tilesim.errors import SimError
-from tilesim.mem import FabricPort, MemoryFabric
+from tilesim.mem.fabric import FabricPort, MemoryFabric
 from tilesim.noc import Noc
 
 

@@ -66,7 +66,7 @@ def test_interrupt_count_conservation():
 def test_coherence_transfer_counts_both_sides():
     noc = make_noc(width=2, height=1)
     noc.transfer("GetShared", 0, 1, 0x1000)
-    noc.transfer("DataShared", 1, 0, 0x1000, data=b"\x00" * 16)
+    noc.transfer("DataShared", 1, 0, 0x1000)
     assert noc.injected == {1: 1, 2: 1, 3: 0}
     assert [noc.counts()[f"noc.ch{ch}.delivered"] for ch in (1, 2, 3)] == [1, 1, 0]
 
