@@ -3,8 +3,13 @@
 import pytest
 
 import sc_oracle
+from coherence_paths import watch_coherence_paths
+from tilesim import litmus
+from tilesim.config import GUEST_RV32, HOST_AGENT, CacheGeometry, MachineConfig, MeshConfig
 from tilesim.errors import SimError
 from tilesim.litmus import Op, TESTS, explore, run_litmus
+from tilesim.mem.fabric import FabricPort, MemoryFabric
+from tilesim.noc import Noc
 
 
 def to_oracle_programs(programs):
@@ -76,3 +81,40 @@ def test_explorer_rejects_oversized_programs():
 def test_interleaving_count_is_exhaustive():
     report = run_litmus("sb")
     assert report["interleavings"] == 6  # C(4,2): all interleavings of 2+2 ops
+
+
+def test_tiny_fabric_evictions_every_interleaving(monkeypatch):
+    """Two guests on a fabric too small for three lines: a direct-mapped one-line
+    L1.5 and one-set two-way L2 slices, with x, y and z all homed on tile 0.
+    Every one of the 70 interleavings evicts, so the outcome set checks the
+    recall, invalidate and writeback paths against the SC oracle."""
+    x, y, z = 0x9000, 0x9030, 0x9060
+    programs = [[Op("st", x, 1), Op("st", y, 2), Op("ld", z), Op("ld", x)],
+                [Op("st", z, 3), Op("ld", x), Op("ld", y), Op("st", x, 4)]]
+    reached = set()
+    machines = []
+
+    def tiny_machine(n_agents):
+        tiles = [HOST_AGENT] + [GUEST_RV32] * n_agents
+        cfg = MachineConfig(
+            tiles=tiles,
+            mesh=MeshConfig(width=len(tiles), height=1),
+            cache=CacheGeometry(l15_size_bytes=16, l15_associativity=1, line_size_bytes=16,
+                                l2_slice_size_bytes=32, l2_associativity=2),
+            dram_size=1 << 20,
+            guest_region_size=128 * 1024,
+            stack_size=4096,
+        )
+        cfg.validate()
+        fabric = MemoryFabric(cfg, Noc(cfg.mesh, len(tiles)))
+        assert {fabric.home_of(a) for a in (x, y, z)} == {0}
+        watch_coherence_paths(fabric, reached)
+        machines.append(fabric)
+        return fabric, [FabricPort(fabric, tile) for tile in range(1, n_agents + 1)]
+
+    monkeypatch.setattr(litmus, "_mini_machine", tiny_machine)
+    observed = explore(programs)
+    assert len(machines) == 70
+    assert observed == sc_oracle.enumerate_sc(to_oracle_programs(programs))
+    assert reached >= {"Downgrade:M", "Invalidate:M", "Invalidate:S", "Invalidate:stale",
+                       "L2 recall:M", "L2 recall:S", "L2 recall:I", "Writeback"}
