@@ -193,11 +193,13 @@ def run_latency_probe(config: MachineConfig, jitter: bool = True,
 
     load_trials, store_trials = [], []
     if jitter:
+        config.validate()
+        # each run draws its own jitter: trial t loads at seed + 2t, stores at seed + 2t + 1
         for trial in range(trials):
-            cfg = dataclasses.replace(config, seed=config.seed + trial)
-            cfg.validate()
-            load_trials.append(_measure("load", False, cfg))
-            store_trials.append(_measure("store", False, cfg))
+            seed = config.seed + 2 * trial
+            load_trials.append(_measure("load", False, dataclasses.replace(config, seed=seed)))
+            store_trials.append(
+                _measure("store", False, dataclasses.replace(config, seed=seed + 1)))
 
     exec_cycles = config.timing.load_store_exec_cycles
     hit = config.timing.l15_hit_cycles
