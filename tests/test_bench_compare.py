@@ -1,5 +1,5 @@
-"""The summary and the src size that tools/bench_compare.py writes into
-BENCH_<pr>.json."""
+"""The summary, the host-speed loop and the src size that
+tools/bench_compare.py writes into BENCH_<pr>.json."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +55,33 @@ def test_src_lines_counts_every_package_module_and_nothing_else(tool, tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_x.py").write_text("t\n")
     assert tool.src_lines(str(tmp_path)) == 4
+
+
+def test_host_loop_is_timed_before_every_run_and_its_median_kept_per_side(tool, monkeypatch):
+    events = []
+    loop_s = iter(range(1, 2 * tool.PAIRS + 1))
+
+    def fake_loop():
+        events.append("loop")
+        return float(next(loop_s))
+
+    def fake_run(tree, workload, seed, seconds):
+        events.append(tree)
+        return {"correct": True, "metrics": {"guest_kips": 100.0 if tree == "p" else 110.0}}
+
+    monkeypatch.setattr(tool, "host_loop_s", fake_loop)
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    metric = {"name": "guest_kips", "unit": "kIPS", "better": "higher"}
+    result = tool.compare({"parent": "p", "change": "c"}, "quicksort", 0, 30, [metric])
+
+    assert events[:8] == ["loop", "p", "loop", "c", "loop", "c", "loop", "p"]
+    loops = result["host_loop_s"]
+    # pair i draws loop times 2i+1 and 2i+2; the parent goes first in even pairs
+    assert loops["parent"]["samples"] == [1.0, 4.0, 5.0, 8.0, 9.0, 12.0, 13.0, 16.0, 17.0, 20.0]
+    assert loops["change"]["samples"] == [2.0, 3.0, 6.0, 7.0, 10.0, 11.0, 14.0, 15.0, 18.0, 19.0]
+    assert (loops["parent"]["median"], loops["change"]["median"]) == (10.5, 10.5)
+    assert result["metrics"]["guest_kips"]["change_wins"] == tool.PAIRS
+
+
+def test_host_loop_takes_measurable_time(tool):
+    assert tool.host_loop_s() > 0.0

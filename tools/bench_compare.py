@@ -16,6 +16,11 @@ and the number of pairs in which the change did better. Each tree's
 `src/tilesim/**/*.py` line count goes in the file too, counted the same way
 on both sides, and so do host facts (Python version, CPU count and model),
 since the numbers mean nothing on another machine.
+
+The shared host's speed drifts. Before each run this process times a fixed
+pure-Python loop that shares no code with the simulator, and the file gives
+each side's median loop time per workload and seed: a side whose loop was
+slow ran on a slow host, not slow code. It is a recorded fact, not a gate.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+LOOP_ITERATIONS = 2_000_000
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -51,6 +58,15 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     wins = sum(1 for p, c in zip(parent, change) if c != p and pick(p, c) == c)
     return {"parent": side(parent), "change": side(change),
             "change_wins": wins, "pairs": len(parent)}
+
+
+def host_loop_s() -> float:
+    """Wall seconds of a fixed pure-Python integer loop: the host's speed now."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(LOOP_ITERATIONS):
+        acc = (acc * 31 + i) & 0xFFFFFFFF
+    return time.perf_counter() - t0
 
 
 def host_facts() -> dict:
@@ -107,9 +123,11 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
 def compare(trees: dict, workload: str, seed: int, seconds: float,
             metrics: list[dict]) -> dict:
     runs = {"parent": [], "change": []}
+    loops = {"parent": [], "change": []}
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
+            loops[name].append(host_loop_s())
             runs[name].append(run_side(trees[name], workload, seed, seconds))
         print(f"{workload} seed={seed} pair {i + 1}/{PAIRS}: " + ", ".join(
             f"{name} {runs[name][-1]['metrics']['guest_kips']:.1f} kIPS"
@@ -118,6 +136,8 @@ def compare(trees: dict, workload: str, seed: int, seconds: float,
         "workload": workload,
         "seed": seed,
         "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "host_loop_s": {name: {"median": statistics.median(samples), "samples": samples}
+                        for name, samples in loops.items()},
         "metrics": {m["name"]: {"unit": m["unit"], "better": m["better"], **summarize(
             [r["metrics"][m["name"]] for r in runs["parent"]],
             [r["metrics"][m["name"]] for r in runs["change"]], m["better"])}
