@@ -3,13 +3,13 @@ handlers. Shared by the golden hammer and the tiny-fabric litmus test, which
 each assert that their run still reaches the paths they exist to cover."""
 
 
-def watch_coherence_paths(fabric, reached=None) -> set:
-    """Wrap the fabric instance's handlers; returns the set (`reached`, or a
-    new one) to which each path the run goes on to take is added:
-    `Downgrade:<state>` and `Invalidate:<state>` by the state of the copy the
-    request finds (`stale` if none), `L2 recall:<state>` by the directory
-    state of the L2 victim, and `Writeback`."""
-    reached = set() if reached is None else reached
+def watch_coherence_paths(fabric) -> set:
+    """Wrap the fabric instance's handlers; returns the set to which each
+    path the run goes on to take is added: `Downgrade:<state>` and
+    `Invalidate:<state>` by the state of the copy the request finds (`stale`
+    if none), `L2 recall:<state>` by the directory state of the L2 victim,
+    and `Writeback`."""
+    reached = set()
     cache_handle, writeback, evict_l2 = fabric.cache_handle, fabric._writeback, fabric._evict_l2
 
     def on_cache(tile, op, home, line_addr, now):
