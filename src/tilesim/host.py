@@ -6,8 +6,9 @@ the guest region, loads the static RV32 ELF through the coherent fabric and
 releases the guest with a start interrupt (the kernel/hypervisor layers
 survive only as trace sub-steps 3-5). Each later step is one mailbox poll,
 servicing at most one syscall against the host OS, spaced poll_interval
-cycles apart. The agent has its own tile, private cache and clock; every
-fabric access it makes charges that clock with the access latency.
+cycles apart; runs of idle hit-polls are charged at once (`skip_idle_polls`).
+The agent has its own tile, private cache and clock; every fabric access it
+makes charges that clock with the access latency.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from .config import GuestRegion, MachineConfig
 from .elf import ElfImage
 from .errors import LoadError
-from .mailbox import HostMailbox
+from .mailbox import OFF_STATUS, STATUS_REQUESTED, HostMailbox
+from .mem.cache import CacheLine
 from .mem.fabric import FabricPort
 from .syscalls import ExitRequest, SyscallHandler
 
@@ -185,3 +187,20 @@ class HostAgent:
             if status is not None:
                 self.machine.finish(status)
         self.time += self.config.poll_interval
+
+    def idle_poll_line(self) -> CacheLine | None:
+        """The cached line that the next poll would hit and find no request
+        in, or None when that poll could miss or find one."""
+        fabric, addr = self.machine.fabric, self.mailbox.base + OFF_STATUS
+        line, at = fabric.l15[self.tile].lookup(addr & -fabric.line_size), addr % fabric.line_size
+        if line is None or int.from_bytes(line.data[at : at + 4], "little") == STATUS_REQUESTED:
+            return None
+        return line
+
+    def skip_idle_polls(self, line: CacheLine, until: int):
+        """Charge every poll that starts at or before `until` (at least one) as
+        advance() would; the caller knows each would hit `line` and find no request."""
+        period = self.config.timing.l15_hit_cycles + self.config.poll_interval
+        n = (until - self.time) // period + 1
+        self.machine.fabric.repeat_load_hits(self.tile, line, n)
+        self.time += n * period

@@ -24,10 +24,6 @@ class CacheLine:
     data: bytearray = field(default_factory=bytearray)
     lru: int = 0
 
-    @property
-    def valid(self) -> bool:
-        return self.state is not LineState.INVALID
-
 
 class CacheArray:
     def __init__(self, size_bytes: int, associativity: int, line_size: int):
@@ -56,25 +52,24 @@ class CacheArray:
         (lowest way index on ties)."""
         ways = self.sets[self.set_index(line_addr)]
         for line in ways:
-            if not line.valid:
+            if line.state is LineState.INVALID:
                 return line
         return min(ways, key=lambda l: l.lru)  # min() keeps the first == lowest way
 
-    def install(self, line_addr: int, data: bytes, state: LineState) -> CacheLine:
-        """Place a line into its victim way. The caller must have dealt with
-        the victim's previous contents first."""
-        line = self.victim(line_addr)
+    def install(self, line: CacheLine, line_addr: int, data: bytearray, state: LineState):
+        """Place a line into `line`, the way victim(line_addr) picked, whose
+        previous contents the caller has dealt with. The line keeps `data`
+        itself, so pass a bytearray that nothing else holds."""
         if self._index.get(line.addr) is line:
             del self._index[line.addr]
         self._index[line_addr] = line
         line.addr = line_addr
         line.state = state
-        line.data = bytearray(data)
+        line.data = data
         self.touch(line)
-        return line
 
     def resident_lines(self):
         for ways in self.sets:
             for line in ways:
-                if line.valid:
+                if line.state is not LineState.INVALID:
                     yield line

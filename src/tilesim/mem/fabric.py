@@ -25,7 +25,8 @@ and traces it and carries nothing, and then calls the handler at the far end:
 
 Hits change no coherence state. The single-writer and directory invariants
 are checked after each miss, for the requested line and for every line it
-evicts from an L1.5 or an L2 slice.
+evicts from an L1.5 or an L2 slice. Handlers pass a line's own bytearray, and
+the level that receives it makes the one copy of each move.
 
 Latency charged to the requester is classified by who serviced the line:
 
@@ -191,17 +192,17 @@ class MemoryFabric:
 
     # -- DRAM ----------------------------------------------------------------
 
-    def dram_read(self, line_addr: int) -> tuple[bytes, int]:
-        """Fetch one line; latency is the configured access time +/- jitter."""
+    def dram_read(self, line_addr: int) -> tuple[bytearray, int]:
+        """A copy of one line, and its latency: the access time +/- jitter."""
         if line_addr + self.line_size > len(self.dram):
             raise MemoryFault(line_addr, "beyond the physical map")
         timing = self.config.timing
         jitter = timing.dram_jitter_cycles
         latency = timing.dram_access_cycles + (self.rng.randint(-jitter, jitter) if jitter else 0)
         self.dram_reads += 1
-        return bytes(self.dram[line_addr : line_addr + self.line_size]), latency
+        return self.dram[line_addr : line_addr + self.line_size], latency
 
-    def dram_write(self, line_addr: int, data: bytes):
+    def dram_write(self, line_addr: int, data: bytearray):
         self.dram[line_addr : line_addr + self.line_size] = data
         self.dram_writes += 1
 
@@ -264,6 +265,14 @@ class MemoryFabric:
                 cb(addr, out, tx)
         return out, tx
 
+    def repeat_load_hits(self, tile: int, line: CacheLine, n: int):
+        """Count n data loads by `tile`, each a hit on `line` with no other access
+        to that cache between them; one touch orders the ways as n would."""
+        counts = self.l15_counts[tile]
+        counts[3] += n  # data_accesses
+        counts[4] += n  # data_hits
+        self.l15[tile].touch(line)
+
     # -- transaction driver ------------------------------------------------------
 
     def _transact(self, tile: int, line_addr: int, op: str, now: int) -> tuple[str, int]:
@@ -279,10 +288,10 @@ class MemoryFabric:
     # -- directory side ------------------------------------------------------------
 
     def directory_handle(self, home: int, op: str, src: int, line_addr: int,
-                         now: int) -> tuple[bytes, str, int]:
+                         now: int) -> tuple[bytearray, str, int]:
         """One MSI transition at the home slice for a GetShared or GetModified
         from `src`: recall the copies it must, send the data reply, and return
-        (line data, serviced level, latency)."""
+        (the L2 line's own data, serviced level, latency)."""
         entry, l2line, serviced, latency = self._l2_get(home, line_addr, now)
         if op == "GetShared":
             if entry.state is LineState.MODIFIED:
@@ -312,9 +321,9 @@ class MemoryFabric:
             self._transition(home, line_addr, entry, LineState.MODIFIED, src, set(), now)
             reply = "DataModified"
         self.noc.transfer(reply, home, src, line_addr, now)
-        return bytes(l2line.data), serviced, latency
+        return l2line.data, serviced, latency
 
-    def _writeback(self, tile: int, line_addr: int, data: bytes, now: int):
+    def _writeback(self, tile: int, line_addr: int, data: bytearray, now: int):
         """`tile` writes its Modified copy back to the home, which takes the
         entry to Invalid."""
         home = self.home_of(line_addr)
@@ -343,7 +352,7 @@ class MemoryFabric:
     # -- cache side ------------------------------------------------------------------
 
     def cache_handle(self, tile: int, op: str, home: int, line_addr: int,
-                     now: int) -> bytes | None:
+                     now: int) -> bytearray | None:
         """Apply a Downgrade or an Invalidate from `home` at a tile's private
         cache and send its ack; returns the data of a Modified copy, or None."""
         line = self.l15[tile].lookup(line_addr)
@@ -354,17 +363,17 @@ class MemoryFabric:
                 )
             line.state = LineState.SHARED
             self.noc.transfer("DowngradeAck", tile, home, line_addr, now)
-            return bytes(line.data)
+            return line.data
         data = None
         if line is not None:
             if line.state is LineState.MODIFIED:
-                data = bytes(line.data)
+                data = line.data
             line.state = LineState.INVALID
         # a silent S-eviction can leave the sharer set stale: ack regardless
         self.noc.transfer("InvalidateAck", tile, home, line_addr, now)
         return data
 
-    def _install_l15(self, tile: int, line_addr: int, data: bytes, state: LineState, now: int):
+    def _install_l15(self, tile: int, line_addr: int, data: bytearray, state: LineState, now: int):
         cache = self.l15[tile]
         line = cache.lookup(line_addr)
         if line is not None:  # upgrade in place; access() touches it next
@@ -373,12 +382,12 @@ class MemoryFabric:
             return
         victim = cache.victim(line_addr)
         if victim.state is LineState.MODIFIED:
-            self._writeback(tile, victim.addr, bytes(victim.data), now)
+            self._writeback(tile, victim.addr, victim.data, now)
         # Shared lines evict silently; the directory keeps a stale superset.
-        if victim.valid:
+        if victim.state is not LineState.INVALID:
             victim.state = LineState.INVALID
             self._check_line_invariants(victim.addr)
-        cache.install(line_addr, data, state)
+        cache.install(victim, line_addr, bytearray(data), state)
 
     # -- L2 slice + inclusion ----------------------------------------------------------
 
@@ -398,11 +407,11 @@ class MemoryFabric:
         counts[2] += 1
         data, latency = self.dram_read(line_addr)
         victim = slice_.victim(line_addr)
-        if victim.valid:
+        if victim.state is not LineState.INVALID:
             self._evict_l2(home, victim, now)
-        l2line = slice_.install(line_addr, data, LineState.SHARED)  # state unused in L2
+        slice_.install(victim, line_addr, data, LineState.SHARED)  # state unused in L2
         self.dirs[home][line_addr] = DirectoryEntry()
-        return self.dirs[home][line_addr], l2line, SERVICED_DRAM, latency
+        return self.dirs[home][line_addr], victim, SERVICED_DRAM, latency
 
     def _evict_l2(self, home: int, victim: CacheLine, now: int = 0):
         """Inclusion: recall/invalidate all cached copies, then write DRAM."""
@@ -418,24 +427,22 @@ class MemoryFabric:
             for tile in sorted(entry.sharers):
                 self.noc.transfer("Invalidate", home, tile, line_addr, now)
                 self.cache_handle(tile, "Invalidate", home, line_addr, now)
-        self.dram_write(line_addr, bytes(victim.data))
+        self.dram_write(line_addr, victim.data)
         victim.state = LineState.INVALID
         self._check_line_invariants(line_addr)
 
     # -- invariants ---------------------------------------------------------------------
 
     def _check_line_invariants(self, line_addr: int):
-        """Single-writer / directory-consistency for one (just touched) line."""
-        holders = [(t, c.lookup(line_addr)) for t, c in enumerate(self.l15)]
-        valid = [(t, ln) for t, ln in holders if ln is not None and ln.valid]
-        modified = [(t, ln) for t, ln in valid if ln.state is LineState.MODIFIED]
-        if len(modified) > 1 or (modified and len(valid) > 1):
+        """Single-writer / directory-consistency for one line's valid private copies."""
+        valid = [(t, ln) for t, cache in enumerate(self.l15)
+                 if (ln := cache.lookup(line_addr)) is not None]
+        if len(valid) > 1 and any(ln.state is LineState.MODIFIED for _, ln in valid):
             raise ProtocolError(
                 f"single-writer violated at 0x{line_addr:08x}: "
                 + ", ".join(f"tile{t}={ln.state.value}" for t, ln in valid)
             )
-        home = self.home_of(line_addr)
-        entry = self.dirs[home].get(line_addr)
+        entry = self.dirs[self.home_of(line_addr)].get(line_addr)
         for t, ln in valid:
             if entry is None:
                 raise ProtocolError(f"0x{line_addr:08x} cached by tile {t} but untracked")

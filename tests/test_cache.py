@@ -28,8 +28,9 @@ def test_lookup_matches_scan_under_install_touch_and_invalidate():
             if line is None:  # the fabric installs only lines it does not hold
                 stale = [w for ways in array.sets for w in ways
                          if w.addr == addr and w.state is LineState.INVALID]
-                installed = array.install(addr, bytes(16), rng.choice(
-                    [LineState.SHARED, LineState.MODIFIED]))
+                state = rng.choice([LineState.SHARED, LineState.MODIFIED])
+                installed = array.victim(addr)
+                array.install(installed, addr, bytearray(16), state)
                 reinstalled_elsewhere |= any(w is not installed for w in stale)
         elif op < 0.7:
             if line is not None:

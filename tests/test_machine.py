@@ -1,6 +1,7 @@
 """End-to-end machine runs: the full load/start/service pipeline, determinism,
 conservation laws, and the trace replay against the flat-memory oracle."""
 
+import os
 import re
 from pathlib import Path
 
@@ -69,12 +70,24 @@ def test_guest_trap_reported():
     assert "ecall" in stats["guest_trap"]
 
 
-def test_cycle_limit_guards_wedged_guest():
+def run_wedged_guest(trace_path=None):
+    """A guest that never calls the host: the untraced run charges its host's
+    polls in bulk, the traced one polls one by one. Both stop with both
+    clocks past the limit."""
     cfg = small_config()
     cfg.sim_cycle_limit = 20_000
-    machine = Machine(cfg, binary=guest_blob("main: j main", cfg))
+    machine = Machine(cfg, binary=guest_blob("main: j main", cfg), trace_path=trace_path)
     with pytest.raises(SimError, match="cycle limit"):
         machine.run()
+    assert min(machine.host.time, machine.guest.time) > cfg.sim_cycle_limit
+
+
+def test_cycle_limit_guards_wedged_guest():
+    run_wedged_guest()
+
+
+def test_cycle_limit_guards_wedged_guest_traced():
+    run_wedged_guest(trace_path=os.devnull)
 
 
 def test_stats_conservation_laws(tmp_path):
