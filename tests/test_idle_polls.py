@@ -83,27 +83,19 @@ def test_corpus_fast_path_equals_slow_path(name, seed, monkeypatch, tmp_path):
     assert_equal_and_fast(*run_both(monkeypatch, tmp_path, cfg, corpus.bench_elf(name, cfg)))
 
 
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_hello_on_layout_fast_path_equals_slow_path(layout, monkeypatch, tmp_path):
-    """guest-host-guest puts a guest below the host, so the guest wins ties."""
-    cfg = LAYOUTS[layout]
-    cfg.validate()
-    untraced, traced = run_both(monkeypatch, tmp_path, cfg, corpus.hello_elf(cfg))
-    assert untraced[:2] == traced[:2]
-    assert untraced[2] < traced[2]
-    assert untraced[1] == b"hello\n"
-
-
-@pytest.mark.parametrize("layout", ["default", "guest-host-guest"])
-def test_poll_and_guest_step_ties_fast_path_equals_slow_path(layout, monkeypatch, tmp_path):
-    """Short poll intervals make a host poll start on the cycle of the guest
-    step that wakes the host; the lower tile must go first on both paths."""
+@pytest.mark.parametrize("layout", ["default", *sorted(LAYOUTS)])
+def test_hello_fast_path_equals_slow_path(layout, monkeypatch, tmp_path):
+    """guest-host-guest puts a guest below the host, so the guest wins ties.
+    Poll intervals 1 and 6 start a host poll on the cycle of the guest store
+    that wakes the host, so a wrong tie order shows there."""
     base = LAYOUTS.get(layout, MachineConfig())
-    for interval in range(1, 9):
+    for interval in (base.poll_interval, *range(1, 9)):
         cfg = dataclasses.replace(base, poll_interval=interval)
         cfg.validate()
         untraced, traced = run_both(monkeypatch, tmp_path, cfg, corpus.hello_elf(cfg))
         assert untraced[:2] == traced[:2], f"poll_interval={interval}"
+        assert untraced[1] == b"hello\n"
+        assert untraced[2] < traced[2], f"poll_interval={interval}"
 
 
 @pytest.mark.parametrize("name", ["memwalk", "sysio"])
