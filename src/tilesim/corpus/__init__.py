@@ -102,13 +102,9 @@ def probe_elf(op: str, cached: bool, config: MachineConfig) -> tuple[bytes, int]
     """
     if op not in PROBE_OPS:
         raise SimError(f"probe op must be load or store, not {op!r}")
-    base = config.guest_base
-    warm = base + ARRAY_OFFSET
+    warm = config.guest_base + ARRAY_OFFSET
     measure = warm if cached else warm + 0x1000
     result = warm + 0x2000
     source = _PROBE_TEMPLATE.format(op=PROBE_OPS[op])
     extra = {"WARM_TARGET": warm, "MEASURE_TARGET": measure, "RESULT_ADDR": result}
-    defines = standard_defines(config)
-    defines.update(extra)
-    program = assemble(source, base=base, defines=defines)
-    return program_to_elf(program), result
+    return build_program([source], config, extra), result

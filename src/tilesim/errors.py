@@ -27,7 +27,8 @@ class MemoryFault(SimError):
 
 
 class ProtocolError(SimError):
-    """A coherence message illegal in the current stable state.
+    """A coherence message illegal in the current stable state, or a host
+    that would sleep with its mailbox status uncached or requested.
 
     Signals a simulator bug, never a workload error; aborts the run with the
     offending message in the text.

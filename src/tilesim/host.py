@@ -6,7 +6,7 @@ the guest region, loads the static RV32 ELF through the coherent fabric and
 releases the guest with a start interrupt (the kernel/hypervisor layers
 survive only as trace sub-steps 3-5). Each later step is one mailbox poll,
 servicing at most one syscall against the host OS, spaced poll_interval
-cycles apart; runs of idle hit-polls are charged at once (`skip_idle_polls`).
+cycles apart; the polls of one sleep are charged at once (`skip_idle_polls`).
 The agent has its own tile, private cache and clock; every fabric access it
 makes charges that clock with the access latency.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .config import GuestRegion, MachineConfig
 from .elf import ElfImage
-from .errors import LoadError
+from .errors import LoadError, ProtocolError
 from .mailbox import OFF_STATUS, STATUS_REQUESTED, HostMailbox
 from .mem.cache import CacheLine
 from .mem.fabric import FabricPort
@@ -64,7 +64,6 @@ class HostAgent:
         self.port = FabricPort(machine.fabric, tile, enforce_windows=True)
         self.port.now_fn = lambda: self.time
         self.time = 0
-        self.region: GuestRegion | None = None
         self.mailbox: HostMailbox | None = None
         self.handler: SyscallHandler | None = None
         self.syscalls_serviced = 0
@@ -99,7 +98,7 @@ class HostAgent:
     def pico_setup(self) -> GuestRegion:
         """Allocate (register + zero-fill) the configured guest region; its
         limits were checked by MachineConfig.validate."""
-        region = self.region = self.config.region
+        region = self.config.region
         base, size = region.base, region.size
         self.machine.fabric.register_window(base, size)
         # fresh-machine zero-fill: caches hold nothing of the region yet, so
@@ -188,13 +187,15 @@ class HostAgent:
                 self.machine.finish(status)
         self.time += self.config.poll_interval
 
-    def idle_poll_line(self) -> CacheLine | None:
-        """The cached line that the next poll would hit and find no request
-        in, or None when that poll could miss or find one."""
+    def status_line(self) -> CacheLine:
+        """The host's cached copy of the mailbox status line. Every advance()
+        ends with an access to the status word, a poll's load that found no
+        request or complete()'s DONE store, so the copy is there and holds
+        no request."""
         fabric, addr = self.machine.fabric, self.mailbox.base + OFF_STATUS
         line, at = fabric.l15[self.tile].lookup(addr & -fabric.line_size), addr % fabric.line_size
         if line is None or int.from_bytes(line.data[at : at + 4], "little") == STATUS_REQUESTED:
-            return None
+            raise ProtocolError(f"host idle with status 0x{addr:08x} uncached or requested")
         return line
 
     def skip_idle_polls(self, line: CacheLine, until: int):

@@ -7,11 +7,12 @@ guest is held in reset until the start interrupt wakes it at the delivery
 time. The loop then merges the two clocks, always advancing the smaller one
 and breaking ties by tile id. Each step is one atomic unit (one guest
 instruction, one mailbox poll), so a run is a pure function of (config,
-seed, binary). With no trace open, the polls that would each hit the host's
-cached status line and find no request are charged in one sum before each
-guest step. That is exact: each would read the same word and touch only the
-host's counters and LRU order, until a guest store or an L2 recall takes
-the host's copy.
+seed, binary). With no trace open, the host sleeps after each poll: the
+guest steps alone until a guest store or an L2 recall takes the host's
+cached status line, the run ends or the cycle limit trips, and then the
+polls due before that last guest step are charged in one sum. That is
+exact: each would hit the same line, find no request and touch only the
+host's counters and LRU order.
 """
 
 from __future__ import annotations
@@ -142,22 +143,22 @@ class Machine:
         tie = int(host.tile > guest.tile)  # a poll at t goes first iff (t, host) < (g, guest)
         try:
             host.boot()
-            idle = None  # the host's status line while each of its polls is an idle hit
             while not self.finished:
-                if idle is None:
-                    # the smaller clock goes next; the lower tile wins a tie
-                    agent = guest if (guest.time, guest.tile) < (host.time, host.tile) else host
-                else:
-                    agent = guest
-                    if host.time <= guest.time - tie:
-                        host.skip_idle_polls(idle, until=guest.time - tie)
+                # the smaller clock goes next; the lower tile wins a tie
+                agent = guest if (guest.time, guest.tile) < (host.time, host.tile) else host
                 if agent.time > limit:
                     raise SimError(f"cycle limit {limit} exceeded (wedged guest?)")
                 agent.advance()
-                if agent is host:
-                    idle = host.idle_poll_line() if self.trace is None else None
-                elif idle is not None and idle.state is LineState.INVALID:
-                    idle = None  # a guest store or an L2 recall took the host's copy
+                if agent is host and self.trace is None and not self.finished:
+                    # the host sleeps while its polls would hit its cached
+                    # status line and find no request, then pays for them
+                    line = host.status_line()
+                    while (g := guest.time) <= limit:
+                        guest.advance()
+                        if self.finished or line.state is LineState.INVALID:
+                            break  # the run ended, or the guest took the host's copy
+                    if host.time <= g - tie:
+                        host.skip_idle_polls(line, until=g - tie)
         finally:
             if self.host.handler:
                 self.host.handler.close_all()

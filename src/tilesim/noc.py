@@ -67,7 +67,6 @@ class Noc:
     def transfer(self, subkind: str, src: int, dst: int, line: int, when: int = 0):
         """Count and trace one coherence message sent inside a transaction."""
         channel = CHANNEL_OF[subkind]
-        self.coord(dst)  # validates
         self.injected[channel] += 1
         if self.trace:
             self.trace(

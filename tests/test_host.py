@@ -9,9 +9,11 @@ from tilesim import corpus
 from tilesim.asm import assemble
 from tilesim.config import MachineConfig
 from tilesim.elf import program_to_elf
-from tilesim.errors import ConfigError, LoadError, MemoryFault
+from tilesim.errors import ConfigError, LoadError, MemoryFault, ProtocolError
 from tilesim.host import GuestImage, GuestRegion
+from tilesim.mailbox import OFF_STATUS, STATUS_REQUESTED
 from tilesim.machine import Machine
+from tilesim.mem.cache import LineState
 from tilesim import elf as elfmod
 from tilesim.syscalls import ExitRequest, SyscallHandler
 
@@ -147,6 +149,20 @@ def test_guest_running_after_start():
     assert stats["exit_status"] == 0
     core = m.guest.core
     assert core.instret > 0
+
+
+def test_status_line_is_cached_after_a_poll_and_never_requested():
+    m = make_machine("main: li a0, 0\n ret")
+    host, status = m.host, m.config.region.mailbox_addr + OFF_STATUS
+    host.boot()
+    with pytest.raises(ProtocolError):
+        host.status_line()  # the loader never touched the mailbox
+    host.advance()
+    assert host.status_line().state is not LineState.INVALID
+    m.guest.port.store(status, 4, STATUS_REQUESTED)
+    host.port.load(status, 4)
+    with pytest.raises(ProtocolError):
+        host.status_line()  # a poll would find this request
 
 
 # -- syscall servicing ---------------------------------------------------------------

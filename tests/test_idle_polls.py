@@ -1,9 +1,11 @@
 """Idle-poll fast-forward against the poll-by-poll loop.
 
-With no trace open, `Machine.run` charges the host's idle mailbox polls in
-bulk while its cached copy of the status line stays valid. An open trace
-(here on the null device) turns that off, so the traced run is the
-reference: every run's stats JSON and stdout must match it byte for byte.
+With no trace open, the host sleeps after each poll: `Machine.run` steps the
+guest alone until the host's cached copy of the status line goes invalid or
+the run ends, then charges the skipped polls in one `skip_idle_polls` call.
+An open trace (here on the null device) turns that off, so the traced run is
+the reference: every run's stats JSON and stdout must match it byte for
+byte, and an untraced run makes at most one charge per real poll.
 """
 
 import dataclasses
@@ -15,7 +17,11 @@ import pytest
 
 from test_golden import LAYOUTS
 from tilesim import corpus
+from tilesim.asm import assemble
 from tilesim.config import MachineConfig
+from tilesim.elf import parse_elf, program_to_elf
+from tilesim.harness import _suite_config, bundled_suite_elves
+from tilesim.host import HostAgent
 from tilesim.mailbox import OFF_STATUS, HostMailbox
 from tilesim.machine import Machine
 
@@ -47,26 +53,40 @@ def status_recalls(machine) -> list:
     return recalls
 
 
-def run_both(monkeypatch, tmp_path, config, binary, make_sandbox=lambda path: None):
-    """Run untraced, then traced; returns each run's (stats JSON, stdout,
-    HostMailbox.poll calls, status-line recalls)."""
-    poll, calls = HostMailbox.poll, []
+def count_calls(monkeypatch, cls, name) -> list:
+    """Wrap cls.name; the list gets one entry per call."""
+    method, calls = getattr(cls, name), []
 
-    def counted_poll(self):
+    def counted(self, *args, **kwargs):
         calls.append(None)
-        return poll(self)
+        return method(self, *args, **kwargs)
 
-    monkeypatch.setattr(HostMailbox, "poll", counted_poll)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def run_both(monkeypatch, tmp_path, config, binary, make_sandbox=lambda path: None,
+             tohost=None):
+    """Run untraced, then traced; returns each run's (stats JSON, stdout,
+    HostMailbox.poll calls, status-line recalls, (tohost value, trap))."""
+    polls = count_calls(monkeypatch, HostMailbox, "poll")
+    skips = count_calls(monkeypatch, HostAgent, "skip_idle_polls")
     results = {}
     for trace_path in (None, os.devnull):
-        calls.clear()
+        polls.clear()
+        skips.clear()
         sandbox = make_sandbox(str(tmp_path / f"sandbox-{trace_path is None}"))
         machine = Machine(config, binary=binary, sandbox_dir=sandbox or str(tmp_path),
                           trace_path=trace_path)
+        if tohost is not None:
+            machine.watch_tohost(tohost)
         recalls = status_recalls(machine)
         stats = machine.run()
+        # one charge per sleep, and a sleep follows a poll; traced runs never sleep
+        assert len(skips) <= (len(polls) if trace_path is None else 0)
         results["traced" if trace_path else "untraced"] = (
-            stats.to_json(), bytes(machine.stdout_data), len(calls), recalls)
+            stats.to_json(), bytes(machine.stdout_data), len(polls), recalls,
+            (machine.tohost_value, machine.trap))
     return results["untraced"], results["traced"]
 
 
@@ -109,3 +129,44 @@ def test_benchmark_guest_fast_path_equals_slow_path(name, workloads, monkeypatch
         # the larger-than-L2 pass evicts the status line from its L2 slice,
         # and that recall is what wakes the sleeping host
         assert untraced[3] and untraced[3] == traced[3]
+
+
+# the bundled trap programs halt before the host's first sleep has a poll due
+LATE_TRAP = """
+_start:
+    li   x5, 300
+spin:
+    addi x5, x5, -1
+    bne  x5, x0, spin
+    la   x11, scratch
+    lw   x12, 2(x11)
+tohost:
+    .word 0
+scratch:
+    .space 64
+"""
+
+
+@pytest.fixture(scope="module")
+def suite():
+    cfg = _suite_config(MachineConfig())
+    elves = bundled_suite_elves(cfg)
+    elves["late_misalign_lw-trap"] = program_to_elf(assemble(LATE_TRAP, base=cfg.guest_base))
+    return elves
+
+
+@pytest.mark.parametrize("name", ["misalign_fetch-trap", "misalign_lw-trap", "misalign_sw-trap",
+                                  "late_misalign_lw-trap", "add", "lb", "sw_lw", "rdcycle"])
+def test_run_ending_while_host_sleeps(name, suite, monkeypatch, tmp_path):
+    """A trap or a tohost write ends the run with no syscall, so the host may
+    be asleep then, and the polls of its last sleep are charged at the end."""
+    blob = suite[name]
+    tohost = parse_elf(blob).symbols["tohost"]
+    for interval in range(1, 9):
+        cfg = _suite_config(MachineConfig(poll_interval=interval))
+        untraced, traced = run_both(monkeypatch, tmp_path, cfg, blob, tohost=tohost)
+        assert untraced[0] == traced[0], f"poll_interval={interval}"  # stats JSON
+        assert untraced[4] == traced[4], f"poll_interval={interval}"  # (tohost, trap)
+        value, trap = untraced[4]
+        assert (trap is not None) == name.endswith("-trap"), f"poll_interval={interval}"
+        assert trap is not None or value == 1, f"poll_interval={interval}"

@@ -226,7 +226,6 @@ def test_mailbox_address_agrees_everywhere(tmp_path):
     assert list(machine.fabric.watches) == [mailbox + OFF_STATUS]  # the status watch
     machine.run()
     assert bytes(machine.stdout_data) == b"hello\n"
-    assert machine.host.region.mailbox_addr == mailbox
     assert machine.host.mailbox.base == mailbox
 
 
