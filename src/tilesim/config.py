@@ -113,7 +113,6 @@ class MachineConfig:
     reset_vector: int = 0x0001_0000
     stack_size: int = 64 * 1024
     poll_interval: int = 50
-    sandbox_dir: str = "."
     seed: int = 0
     dram_size: int = 16 * 1024 * 1024
     sim_cycle_limit: int = 200_000_000

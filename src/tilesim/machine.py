@@ -73,7 +73,7 @@ class Machine:
         config.validate()
         self.config = config
         self.binary = binary
-        self.sandbox_dir = sandbox_dir or config.sandbox_dir
+        self.sandbox_dir = sandbox_dir or "."
         self._trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
         self.trace = self._emit_trace if self._trace_file else None
 

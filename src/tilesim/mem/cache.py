@@ -1,14 +1,15 @@
 """Set-associative cache arrays used for both the private caches and the
-shared L2 slices. Replacement is LRU with ties broken by lowest way index.
+shared L2 slices. Replacement is LRU.
 
-An index from line address to the way last installed with it makes a lookup
-one dict probe. Only `install` moves it; a line invalidated in place stays
-indexed, and `lookup` rejects it as invalid."""
+A cache holds only its resident lines: each set is a dict of the lines it
+holds, and one index from line address to line covers all sets, so a lookup
+is one dict probe. A line is created by `install` and leaves through
+`remove`, which marks it INVALID for anyone still holding it."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class LineState(enum.Enum):
@@ -17,11 +18,11 @@ class LineState(enum.Enum):
     MODIFIED = "M"
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
-    addr: int = 0  # line-aligned address
-    state: LineState = LineState.INVALID
-    data: bytearray = field(default_factory=bytearray)
+    addr: int  # line-aligned address
+    state: LineState
+    data: bytearray
     lru: int = 0
 
 
@@ -30,46 +31,41 @@ class CacheArray:
         self.line_size = line_size
         self.ways = associativity
         self.n_sets = size_bytes // line_size // associativity
-        self.sets = [[CacheLine() for _ in range(associativity)] for _ in range(self.n_sets)]
-        self._tick = 0
+        self.sets: list[dict[int, CacheLine]] = [{} for _ in range(self.n_sets)]
         self._index: dict[int, CacheLine] = {}
+        self._tick = 0
 
-    def set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_size) % self.n_sets
+    def _set(self, line_addr: int) -> dict[int, CacheLine]:
+        return self.sets[(line_addr // self.line_size) % self.n_sets]
 
     def lookup(self, line_addr: int) -> CacheLine | None:
-        line = self._index.get(line_addr)
-        if line is not None and line.state is not LineState.INVALID and line.addr == line_addr:
-            return line
-        return None
+        return self._index.get(line_addr)
 
     def touch(self, line: CacheLine):
         self._tick += 1
         line.lru = self._tick
 
-    def victim(self, line_addr: int) -> CacheLine:
-        """The way a new line would displace: first invalid way, else LRU
-        (lowest way index on ties)."""
-        ways = self.sets[self.set_index(line_addr)]
-        for line in ways:
-            if line.state is LineState.INVALID:
-                return line
-        return min(ways, key=lambda l: l.lru)  # min() keeps the first == lowest way
+    def victim(self, line_addr: int) -> CacheLine | None:
+        """The line a new line_addr would displace: None while its set has a
+        free way, else the least recently used line."""
+        lines = self._set(line_addr)
+        if len(lines) < self.ways:
+            return None
+        return min(lines.values(), key=lambda line: line.lru)
 
-    def install(self, line: CacheLine, line_addr: int, data: bytearray, state: LineState):
-        """Place a line into `line`, the way victim(line_addr) picked, whose
-        previous contents the caller has dealt with. The line keeps `data`
-        itself, so pass a bytearray that nothing else holds."""
-        if self._index.get(line.addr) is line:
-            del self._index[line.addr]
+    def install(self, line_addr: int, data: bytearray, state: LineState) -> CacheLine:
+        """Make line_addr resident in a free way and return its line. The line
+        keeps `data` itself, so pass a bytearray that nothing else holds."""
+        line = CacheLine(line_addr, state, data)
+        self._set(line_addr)[line_addr] = line
         self._index[line_addr] = line
-        line.addr = line_addr
-        line.state = state
-        line.data = data
         self.touch(line)
+        return line
+
+    def remove(self, line: CacheLine):
+        del self._set(line.addr)[line.addr]
+        del self._index[line.addr]
+        line.state = LineState.INVALID
 
     def resident_lines(self):
-        for ways in self.sets:
-            for line in ways:
-                if line.state is not LineState.INVALID:
-                    yield line
+        return self._index.values()

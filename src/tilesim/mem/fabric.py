@@ -21,7 +21,9 @@ and traces it and carries nothing, and then calls the handler at the far end:
     data reply  the home moves the directory entry, sends DataShared or
                 DataModified and returns the line's data to the requester
     install     the requester's cache installs the line, first writing back
-                a Modified victim to that victim's home (`_writeback`)
+                a Modified victim to that victim's home (`_writeback`), or
+                upgrades its own Shared copy; the chain returns the line, so
+                `access` looks it up once per miss
 
 Hits change no coherence state. The single-writer and directory invariants
 are checked after each miss, for the requested line and for every line it
@@ -232,11 +234,7 @@ class MemoryFabric:
         else:
             counts[side + 2] += 1
             op = "GetModified" if kind == KIND_STORE else "GetShared"
-            serviced, latency = self._transact(tile, line_addr, op, now)
-            line = cache.lookup(line_addr)
-            if line is None:
-                raise ProtocolError(f"transaction left 0x{line_addr:08x} uninstalled")
-            self._check_line_invariants(line_addr)
+            line, serviced, latency = self._transact(tile, line, line_addr, op, now)
         cache.touch(line)
 
         if kind == KIND_STORE:
@@ -275,15 +273,22 @@ class MemoryFabric:
 
     # -- transaction driver ------------------------------------------------------
 
-    def _transact(self, tile: int, line_addr: int, op: str, now: int) -> tuple[str, int]:
-        """Run one miss: request, recalls, data reply, install. Returns the
-        level that serviced the line and the latency charged for it."""
+    def _transact(self, tile: int, line: CacheLine | None, line_addr: int, op: str,
+                  now: int) -> tuple[CacheLine, str, int]:
+        """Run one miss: request, recalls, data reply, install. `line` is the
+        tile's Shared copy that a GetModified upgrades, or None. Returns the
+        tile's line, the level that serviced it and the latency charged."""
         home = self.home_of(line_addr)
         self.noc.transfer(op, tile, home, line_addr, now)
         data, serviced, latency = self.directory_handle(home, op, tile, line_addr, now)
-        state = LineState.SHARED if op == "GetShared" else LineState.MODIFIED
-        self._install_l15(tile, line_addr, data, state, now)
-        return serviced, latency
+        if line is not None:  # upgrade in place; access() touches it next
+            line.state = LineState.MODIFIED
+            line.data = bytearray(data)
+        else:
+            state = LineState.SHARED if op == "GetShared" else LineState.MODIFIED
+            line = self._install_l15(tile, line_addr, data, state, now)
+        self._check_line_invariants(line_addr)
+        return line, serviced, latency
 
     # -- directory side ------------------------------------------------------------
 
@@ -368,26 +373,23 @@ class MemoryFabric:
         if line is not None:
             if line.state is LineState.MODIFIED:
                 data = line.data
-            line.state = LineState.INVALID
+            self.l15[tile].remove(line)
         # a silent S-eviction can leave the sharer set stale: ack regardless
         self.noc.transfer("InvalidateAck", tile, home, line_addr, now)
         return data
 
-    def _install_l15(self, tile: int, line_addr: int, data: bytearray, state: LineState, now: int):
+    def _install_l15(self, tile: int, line_addr: int, data: bytearray, state: LineState,
+                     now: int) -> CacheLine:
+        """Install a copy of `data`, evicting the LRU line of a full set first."""
         cache = self.l15[tile]
-        line = cache.lookup(line_addr)
-        if line is not None:  # upgrade in place; access() touches it next
-            line.state = state
-            line.data = bytearray(data)
-            return
         victim = cache.victim(line_addr)
-        if victim.state is LineState.MODIFIED:
-            self._writeback(tile, victim.addr, victim.data, now)
-        # Shared lines evict silently; the directory keeps a stale superset.
-        if victim.state is not LineState.INVALID:
-            victim.state = LineState.INVALID
+        if victim is not None:
+            if victim.state is LineState.MODIFIED:
+                self._writeback(tile, victim.addr, victim.data, now)
+            # Shared lines evict silently; the directory keeps a stale superset.
+            cache.remove(victim)
             self._check_line_invariants(victim.addr)
-        cache.install(victim, line_addr, bytearray(data), state)
+        return cache.install(line_addr, bytearray(data), state)
 
     # -- L2 slice + inclusion ----------------------------------------------------------
 
@@ -407,11 +409,11 @@ class MemoryFabric:
         counts[2] += 1
         data, latency = self.dram_read(line_addr)
         victim = slice_.victim(line_addr)
-        if victim.state is not LineState.INVALID:
+        if victim is not None:
             self._evict_l2(home, victim, now)
-        slice_.install(victim, line_addr, data, LineState.SHARED)  # state unused in L2
-        self.dirs[home][line_addr] = DirectoryEntry()
-        return self.dirs[home][line_addr], victim, SERVICED_DRAM, latency
+        l2line = slice_.install(line_addr, data, LineState.SHARED)  # state unused in L2
+        entry = self.dirs[home][line_addr] = DirectoryEntry()
+        return entry, l2line, SERVICED_DRAM, latency
 
     def _evict_l2(self, home: int, victim: CacheLine, now: int = 0):
         """Inclusion: recall/invalidate all cached copies, then write DRAM."""
@@ -428,7 +430,7 @@ class MemoryFabric:
                 self.noc.transfer("Invalidate", home, tile, line_addr, now)
                 self.cache_handle(tile, "Invalidate", home, line_addr, now)
         self.dram_write(line_addr, victim.data)
-        victim.state = LineState.INVALID
+        self.l2[home].remove(victim)
         self._check_line_invariants(line_addr)
 
     # -- invariants ---------------------------------------------------------------------

@@ -38,9 +38,6 @@ O_EXCL = 0o200
 O_TRUNC = 0o1000
 O_APPEND = 0o2000
 
-# minimal stat block written to the guest (ABI v1): mode, size, blksize, 0
-FSTAT_BYTES = 16
-
 MAX_PATH = 4096
 MAX_IO = 1 << 20
 

@@ -229,7 +229,7 @@ def test_downgrade_to_non_owner_asserts():
 def assert_lines_own_their_data(fabric):
     """No two cache lines, private or L2, share one data bytearray."""
     lines = [line for arrays in (fabric.l15, fabric.l2) for array in arrays
-             for ways in array.sets for line in ways]
+             for line in array.resident_lines()]
     assert len({id(line.data) for line in lines}) == len(lines)
 
 
