@@ -4,7 +4,12 @@ There is no cross-toolchain in the build environment, so the test suite,
 microbenchmarks and probe programs are assembled from shipped .s sources by
 this module. It covers full RV32I plus the usual pseudo-instructions and a
 handful of data directives; anything it does not know is an error rather than
-a silent skip.
+a silent skip, and every error is an AsmError naming the source line.
+
+This module parses operands, expressions and directives and holds no
+encodings: `rv32.insn.encode` packs every instruction from the one RV32I
+encoding table, whose format for a mnemonic also says how its operands are
+written. A pseudo-instruction is rewritten into one base instruction first.
 
 Pseudo-instructions expand to a fixed size (li/la are always two words) so
 pass one can lay out labels without iteration.
@@ -16,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import AsmError
+from .rv32.insn import CSR_CYCLE, CSR_CYCLEH, ENCODINGS, OpClass, encode, sext
 
 REGS = {f"x{i}": i for i in range(32)}
 REGS.update(
@@ -25,7 +31,7 @@ REGS.update(
     t3=28, t4=29, t5=30, t6=31,
 )
 
-CSRS = {"cycle": 0xC00, "cycleh": 0xC80}
+CSRS = {"cycle": CSR_CYCLE, "cycleh": CSR_CYCLEH}
 
 
 @dataclass
@@ -159,73 +165,20 @@ class _Expr:
         raise AsmError(f"undefined symbol {tok!r}", self.line)
 
 
-# ---------------------------------------------------------------------------
-# encoders
-
-
-def _enc_r(funct7, funct3, opcode, rd, rs1, rs2):
-    return (funct7 << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-
-
-def _enc_i(funct3, opcode, rd, rs1, imm, line):
-    if not -2048 <= imm <= 2047:
-        raise AsmError(f"immediate {imm} out of I-range", line)
-    return ((imm & 0xFFF) << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-
-
-def _enc_s(funct3, rs1, rs2, imm, line):
-    if not -2048 <= imm <= 2047:
-        raise AsmError(f"immediate {imm} out of S-range", line)
-    imm &= 0xFFF
-    return (
-        ((imm >> 5) << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12)
-        | ((imm & 0x1F) << 7) | 0x23
-    )
-
-
-def _enc_b(funct3, rs1, rs2, offset, line):
-    if offset % 2 or not -4096 <= offset <= 4094:
-        raise AsmError(f"branch offset {offset} unencodable", line)
-    imm = offset & 0x1FFF
-    return (
-        (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25) | (rs2 << 20)
-        | (rs1 << 15) | (funct3 << 12) | (((imm >> 1) & 0xF) << 8)
-        | (((imm >> 11) & 1) << 7) | 0x63
-    )
-
-
-def _enc_u(opcode, rd, imm20, line):
-    if not 0 <= imm20 <= 0xFFFFF:
-        raise AsmError(f"upper immediate {imm20:#x} out of range", line)
-    return (imm20 << 12) | (rd << 7) | opcode
-
-
-def _enc_j(rd, offset, line):
-    if offset % 2 or not -(1 << 20) <= offset <= (1 << 20) - 2:
-        raise AsmError(f"jump offset {offset} unencodable", line)
-    imm = offset & 0x1FFFFF
-    return (
-        (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21)
-        | (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12) | (rd << 7) | 0x6F
-    )
-
-
-_R_OPS = {
-    "add": (0x00, 0), "sub": (0x20, 0), "sll": (0x00, 1), "slt": (0x00, 2),
-    "sltu": (0x00, 3), "xor": (0x00, 4), "srl": (0x00, 5), "sra": (0x20, 5),
-    "or": (0x00, 6), "and": (0x00, 7),
+# Pseudo-instructions as base instructions over their operands {0}, {1}, ...
+_PSEUDO_TEXT = {
+    "nop": "addi x0, x0, 0", "mv": "addi {0}, {1}, 0", "not": "xori {0}, {1}, -1",
+    "neg": "sub {0}, x0, {1}", "seqz": "sltiu {0}, {1}, 1", "snez": "sltu {0}, x0, {1}",
+    "j": "jal x0, {0}", "jr": "jalr x0, {0}, 0", "ret": "jalr x0, ra, 0", "call": "jal ra, {0}",
+    "rdcycle": "csrrs {0}, cycle, x0", "rdcycleh": "csrrs {0}, cycleh, x0",
+    "beqz": "beq {0}, x0, {1}", "bnez": "bne {0}, x0, {1}", "bltz": "blt {0}, x0, {1}",
+    "bgez": "bge {0}, x0, {1}", "blez": "bge x0, {0}, {1}", "bgtz": "blt x0, {0}, {1}",
+    "bgt": "blt {1}, {0}, {2}", "ble": "bge {1}, {0}, {2}",
+    "bgtu": "bltu {1}, {0}, {2}", "bleu": "bgeu {1}, {0}, {2}",
 }
-_I_ALU = {"addi": 0, "slti": 2, "sltiu": 3, "xori": 4, "ori": 6, "andi": 7}
-_SHIFTS = {"slli": (0x00, 1), "srli": (0x00, 5), "srai": (0x20, 5)}
-_LOADS = {"lb": 0, "lh": 1, "lw": 2, "lbu": 4, "lhu": 5}
-_STORES = {"sb": 0, "sh": 1, "sw": 2}
-_BRANCHES = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
-_BRANCH_SWAP = {"bgt": "blt", "ble": "bge", "bgtu": "bltu", "bleu": "bgeu"}
-_BRANCH_ZERO = {
-    "beqz": ("beq", False), "bnez": ("bne", False), "bltz": ("blt", False),
-    "bgez": ("bge", False), "blez": ("bge", True), "bgtz": ("blt", True),
-}
-_CSR_OPS = {"csrrw": 1, "csrrs": 2, "csrrc": 3, "csrrwi": 5, "csrrsi": 6, "csrrci": 7}
+# pseudo -> (operand count, base mnemonic, base operand templates)
+_PSEUDO = {op: (text.count("{"), text.split(" ", 1)[0], text.split(" ", 1)[1].split(", "))
+           for op, text in _PSEUDO_TEXT.items()}
 
 
 def _reg(tok: str, line: int) -> int:
@@ -279,14 +232,19 @@ class Assembler:
         self.symbols[name] = value
 
     def _eval(self, text: str, lineno: int) -> int:
-        return _Expr(text, self.symbols, lineno).parse()
+        try:
+            return _Expr(text, self.symbols, lineno).parse()
+        except (ArithmeticError, ValueError) as err:  # x/0, x%0, x << -1
+            raise AsmError(f"cannot evaluate {text!r}: {err}", lineno) from None
 
     def _directive(self, line: str, lineno: int):
         parts = line.split(None, 1)
         name, rest = parts[0], parts[1] if len(parts) > 1 else ""
         if name in (".equ", ".set"):
-            sym, expr = [p.strip() for p in rest.split(",", 1)]
-            self._define(sym, self._eval(expr, lineno), lineno)
+            sym, comma, expr = rest.partition(",")
+            if not comma:
+                raise AsmError(f"{name} needs a name and a value", lineno)
+            self._define(sym.strip(), self._eval(expr, lineno), lineno)
         elif name == ".globl" or name == ".global":
             pass  # every label is exported
         elif name == ".balign":
@@ -340,7 +298,11 @@ class Assembler:
                 value = self._eval(item.args[0], item.line) & ((1 << size * 8) - 1)
                 out += value.to_bytes(size, "little")
             else:
-                for word in self._encode(item):
+                try:
+                    words = self._encode(item)
+                except ValueError as err:
+                    raise AsmError(str(err), item.line) from None
+                for word in words:
                     out += word.to_bytes(4, "little")
         entry = self.symbols.get("_start", self.base)
         return Program(self.base, bytes(out), dict(self.symbols), entry)
@@ -366,117 +328,63 @@ class Assembler:
         def btarget(i):
             return ev(args[i]) - addr
 
-        # pseudo-instructions first
-        if op == "nop":
-            return [_enc_i(0, 0x13, 0, 0, 0, line)]
         if op in ("li", "la"):
             nargs(2)
             value = ev(args[1]) & 0xFFFFFFFF
-            lo = ((value & 0xFFF) ^ 0x800) - 0x800
-            hi = ((value - lo) >> 12) & 0xFFFFF
+            lo = sext(value, 12)
             rd = reg(0)
-            return [_enc_u(0x37, rd, hi, line), _enc_i(0, 0x13, rd, rd, lo, line)]
-        if op == "mv":
-            nargs(2)
-            return [_enc_i(0, 0x13, reg(0), reg(1), 0, line)]
-        if op == "not":
-            nargs(2)
-            return [_enc_i(4, 0x13, reg(0), reg(1), -1, line)]
-        if op == "neg":
-            nargs(2)
-            return [_enc_r(0x20, 0, 0x33, reg(0), 0, reg(1))]
-        if op == "seqz":
-            nargs(2)
-            return [_enc_i(3, 0x13, reg(0), reg(1), 1, line)]
-        if op == "snez":
-            nargs(2)
-            return [_enc_r(0, 3, 0x33, reg(0), 0, reg(1))]
-        if op == "j":
-            nargs(1)
-            return [_enc_j(0, btarget(0), line)]
-        if op == "jr":
-            nargs(1)
-            return [_enc_i(0, 0x67, 0, reg(0), 0, line)]
-        if op == "ret":
-            nargs(0)
-            return [_enc_i(0, 0x67, 0, REGS["ra"], 0, line)]
-        if op == "call":
-            nargs(1)
-            return [_enc_j(REGS["ra"], btarget(0), line)]
-        if op in ("rdcycle", "rdcycleh"):
-            nargs(1)
-            csr = CSRS["cycle" if op == "rdcycle" else "cycleh"]
-            return [_enc_i(2, 0x73, reg(0), 0, 0, line) | (csr << 20)]
-        if op in _BRANCH_ZERO:
-            nargs(2)
-            real, swap = _BRANCH_ZERO[op]
-            rs1, rs2 = (0, reg(0)) if swap else (reg(0), 0)
-            return [_enc_b(_BRANCHES[real], rs1, rs2, btarget(1), line)]
-        if op in _BRANCH_SWAP:
-            nargs(3)
-            return [_enc_b(_BRANCHES[_BRANCH_SWAP[op]], reg(1), reg(0), btarget(2), line)]
+            return [encode("lui", rd, imm=sext(value - lo, 32)), encode("addi", rd, rd, imm=lo)]
+        if op in _PSEUDO:
+            count, base, templates = _PSEUDO[op]
+            nargs(count)
+            op, args = base, [template.format(*args) for template in templates]
 
-        # base instructions
-        if op in _R_OPS:
-            nargs(3)
-            f7, f3 = _R_OPS[op]
-            return [_enc_r(f7, f3, 0x33, reg(0), reg(1), reg(2))]
-        if op in _I_ALU:
-            nargs(3)
-            return [_enc_i(_I_ALU[op], 0x13, reg(0), reg(1), ev(args[2]), line)]
-        if op in _SHIFTS:
-            nargs(3)
-            f7, f3 = _SHIFTS[op]
-            shamt = ev(args[2])
-            if not 0 <= shamt <= 31:
-                raise AsmError(f"shift amount {shamt} out of range", line)
-            return [_enc_r(f7, f3, 0x13, reg(0), reg(1), shamt)]
-        if op in _LOADS:
-            nargs(2)
-            off, rs1 = memop(1)
-            return [_enc_i(_LOADS[op], 0x03, reg(0), rs1, off, line)]
-        if op in _STORES:
-            nargs(2)
-            off, rs1 = memop(1)
-            return [_enc_s(_STORES[op], rs1, reg(0), off, line)]
-        if op in _BRANCHES:
-            nargs(3)
-            return [_enc_b(_BRANCHES[op], reg(0), reg(1), btarget(2), line)]
+        # base instructions, by format; jal and jalr also take short forms
         if op == "jal":
             if len(args) == 1:
-                return [_enc_j(REGS["ra"], btarget(0), line)]
+                return [encode("jal", REGS["ra"], imm=btarget(0))]
             nargs(2)
-            return [_enc_j(reg(0), btarget(1), line)]
+            return [encode("jal", reg(0), imm=btarget(1))]
         if op == "jalr":
             if len(args) == 1:
-                return [_enc_i(0, 0x67, REGS["ra"], reg(0), 0, line)]
+                return [encode("jalr", REGS["ra"], reg(0))]
             if len(args) == 2:
                 off, rs1 = memop(1)
-                return [_enc_i(0, 0x67, reg(0), rs1, off, line)]
+                return [encode("jalr", reg(0), rs1, imm=off)]
             nargs(3)
-            return [_enc_i(0, 0x67, reg(0), reg(1), ev(args[2]), line)]
-        if op in ("lui", "auipc"):
+            return [encode("jalr", reg(0), reg(1), imm=ev(args[2]))]
+        enc = ENCODINGS.get(op)
+        if enc is None:
+            raise AsmError(f"unknown instruction {op!r}", line)
+        if enc.fmt == "R":
+            nargs(3)
+            return [encode(op, reg(0), reg(1), reg(2))]
+        if enc.opclass is OpClass.LOAD:
             nargs(2)
-            opcode = 0x37 if op == "lui" else 0x17
-            return [_enc_u(opcode, reg(0), ev(args[1]) & 0xFFFFF, line)]
-        if op == "fence":
-            # treat any operand list as the full-barrier fence
-            return [0x0FF0000F]
-        if op == "ecall":
-            return [0x00000073]
-        if op == "ebreak":
-            return [0x00100073]
-        if op in _CSR_OPS:
+            off, rs1 = memop(1)
+            return [encode(op, reg(0), rs1, imm=off)]
+        if enc.fmt in ("I", "shift"):
+            nargs(3)
+            return [encode(op, reg(0), reg(1), imm=ev(args[2]))]
+        if enc.fmt == "S":
+            nargs(2)
+            off, rs1 = memop(1)
+            return [encode(op, 0, rs1, reg(0), off)]
+        if enc.fmt == "B":
+            nargs(3)
+            return [encode(op, 0, reg(0), reg(1), btarget(2))]
+        if enc.fmt == "U":  # the operand is the upper 20 bits
+            nargs(2)
+            return [encode(op, reg(0), imm=sext(ev(args[1]) << 12, 32))]
+        if enc.fmt == "CSR":
             nargs(3)
             csr = CSRS.get(args[1].lower())
             if csr is None:
                 csr = ev(args[1])
-            f3 = _CSR_OPS[op]
             rs1 = ev(args[2]) if op.endswith("i") else reg(2)
-            if not 0 <= rs1 <= 31:
-                raise AsmError("csr zimm out of range", line)
-            return [_enc_i(f3, 0x73, reg(0), rs1, 0, line) | (csr << 20)]
-        raise AsmError(f"unknown instruction {op!r}", line)
+            return [encode(op, reg(0), rs1, imm=csr)]
+        # any operand list of fence is the full barrier; ecall and ebreak take none
+        return [encode(op, imm=0x0FF if enc.fmt == "fence" else 0)]
 
 
 def _split_args(text: str) -> list[str]:

@@ -153,17 +153,30 @@ class MachineConfig:
         return self.tiles.index(HOST_AGENT)
 
 
+_SECTIONS = {"mesh": MeshConfig, "cache": CacheGeometry, "timing": TimingConfig}
+# What a JSON value must be for each field type (bool is not an int here)
+_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "list[str]": ("a list of strings",
+                  lambda v: type(v) is list and all(type(s) is str for s in v)),
+}
+
+
 def _from_dict(cls, data: dict, path: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in fields:
+        if key not in types:
             raise ConfigError(f"unknown config key {path}{key}")
-        if key in ("mesh", "cache", "timing"):
-            sub = {"mesh": MeshConfig, "cache": CacheGeometry, "timing": TimingConfig}[key]
+        if key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}{key} must be an object")
-            value = _from_dict(sub, value, f"{path}{key}.")
+            value = _from_dict(_SECTIONS[key], value, f"{path}{key}.")
+        else:
+            what, ok = _TYPES[types[key]]
+            if not ok(value):
+                raise ConfigError(f"{path}{key} must be {what}")
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -230,12 +230,12 @@ class MemoryFabric:
         line = cache.lookup(line_addr)
         if line is not None and (kind != KIND_STORE or line.state is LineState.MODIFIED):
             counts[side + 1] += 1
+            cache.touch(line)
             serviced, latency = SERVICED_L15, self.config.timing.l15_hit_cycles
         else:
             counts[side + 2] += 1
             op = "GetModified" if kind == KIND_STORE else "GetShared"
             line, serviced, latency = self._transact(tile, line, line_addr, op, now)
-        cache.touch(line)
 
         if kind == KIND_STORE:
             if line.state is not LineState.MODIFIED:
@@ -281,9 +281,10 @@ class MemoryFabric:
         home = self.home_of(line_addr)
         self.noc.transfer(op, tile, home, line_addr, now)
         data, serviced, latency = self.directory_handle(home, op, tile, line_addr, now)
-        if line is not None:  # upgrade in place; access() touches it next
+        if line is not None:  # upgrade in place; install touches a new line
             line.state = LineState.MODIFIED
             line.data = bytearray(data)
+            self.l15[tile].touch(line)
         else:
             state = LineState.SHARED if op == "GetShared" else LineState.MODIFIED
             line = self._install_l15(tile, line_addr, data, state, now)

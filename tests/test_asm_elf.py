@@ -110,6 +110,26 @@ def test_unknown_mnemonic_and_redefinition_rejected():
         assemble("a: nop\na: nop", base=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ".equ X",  # no value
+        "li a0, 1/0",
+        "li a0, 5 % 0",
+        "li a0, 1 << -1",
+        "csrrs a0, 0x1000, x0",  # CSR number wider than 12 bits
+        "csrrwi a0, cycle, 32",  # zimm wider than 5 bits
+        "slli a0, a0, 32",
+        "lw a0, 2048(a1)",
+    ],
+)
+def test_bad_source_fails_as_asm_error_naming_its_line(bad):
+    with pytest.raises(AsmError) as exc:
+        assemble(f"nop\n{bad}\nnop\n", base=0)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith("line 2: ")
+
+
 def test_defines_feed_expressions():
     prog = assemble("li a0, BASE + 8", base=0, defines={"BASE": 0x100})
     w = words(prog)

@@ -1,6 +1,7 @@
 """simctl command-line behavior: exit codes, diagnostics, deterministic stats."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from tilesim import corpus
 from tilesim.cli import main
 from tilesim.config import MachineConfig, load_config
+from tilesim.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,35 @@ def test_config_file_round_trip(hello_path, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"poll_interval": "5"}, "poll_interval"),
+        ({"poll_interval": 5.0}, "poll_interval"),
+        ({"timing": {"alu_cycles": None}}, "timing.alu_cycles"),
+        ({"cache": {"l2_associativity": True}}, "cache.l2_associativity"),
+        ({"tiles": 5}, "tiles"),
+        ({"tiles": ["host-agent", 7]}, "tiles"),
+        ({"seed": "x"}, "seed"),
+        ({"check_data_values": "no"}, "check_data_values"),
+        ({"check_data_values": 0}, "check_data_values"),
+    ],
+)
+def test_config_value_of_wrong_json_type_names_its_key(tmp_path, data, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+        load_config(str(cfg_path))
+
+
+def test_run_with_mistyped_config_exits_2(hello_path, tmp_path, capsys):
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text(json.dumps({"timing": {"alu_cycles": None}}))
+    code = run_cli(["run", "--binary", hello_path, "--config", str(bad_cfg)])
+    assert code == 2
+    assert "config error: timing.alu_cycles" in capsys.readouterr().err
+
+
 def test_readme_config_example_loads(tmp_path):
     """The README's configuration example names only keys load_config knows."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -130,6 +161,15 @@ def test_assemble_cli(tmp_path, capsys):
     assert code == 0
     blob = out_path.read_bytes()
     assert blob[:4] == b"\x7fELF"
+
+
+def test_assemble_cli_bad_source_exits_1(tmp_path, capsys):
+    src = tmp_path / "bad.s"
+    src.write_text("_start: nop\n li a0, 1/0\n")
+    code = run_cli(["assemble", str(src), "-o", str(tmp_path / "bad.elf")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("simctl: line 2: ")
+    assert not (tmp_path / "bad.elf").exists()
 
 
 def test_console_script_entry_point(hello_path, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import rvoracle
 from tilesim.errors import DecodeError
-from tilesim.rv32.insn import OpClass, decode
+from tilesim.rv32.insn import ENCODINGS, OpClass, decode, encode
 
 
 def test_canonical_nop():
@@ -111,3 +111,64 @@ def test_branch_offsets_are_even_and_signed(imm):
     oracle_imm = rvoracle.decode(word)[1]["imm"]
     assert insn.imm == oracle_imm
     assert insn.imm % 2 == 0
+
+
+# Valid operands per format, written from the ISA listing rather than read
+# from the package: the fields drawn and the immediate's (lowest, highest, step).
+_OPERANDS = {
+    "R": (("rd", "rs1", "rs2"), (0, 0, 1)),
+    "I": (("rd", "rs1"), (-2048, 2047, 1)),
+    "shift": (("rd", "rs1"), (0, 31, 1)),
+    "S": (("rs1", "rs2"), (-2048, 2047, 1)),
+    "B": (("rs1", "rs2"), (-4096, 4094, 2)),
+    "U": (("rd",), (-(1 << 31), (1 << 31) - 4096, 4096)),
+    "J": (("rd",), (-(1 << 20), (1 << 20) - 2, 2)),
+    "CSR": (("rd", "rs1"), (0, 0xFFF, 1)),  # rs1 is zimm in the *i forms
+    "fence": (("rd", "rs1"), (0, 0xFFF, 1)),  # pred/succ; neither side reports it
+    "fixed": ((), (0, 0, 1)),
+}
+
+
+def test_encoding_table_matches_oracle_both_ways():
+    """encode every mnemonic in the table with random valid operands (range
+    ends included): the oracle and decode both read back the same fields."""
+    assert set(ENCODINGS) == {name for _, _, name, _ in rvoracle._TABLE}
+    rng = random.Random(0x7AB1E)
+    for name, enc in ENCODINGS.items():
+        regs, (lo, hi, step) = _OPERANDS[enc.fmt]
+        for trial in range(40):
+            fields = {reg: rng.randrange(32) for reg in regs}
+            imm = (lo, hi)[trial] if trial < 2 else lo + step * rng.randrange((hi - lo) // step + 1)
+            word = encode(name, imm=imm, **fields)
+            if enc.fmt == "CSR":
+                fields["csr"] = imm
+            elif enc.fmt not in ("R", "fixed", "fence"):
+                fields["imm"] = imm
+            oracle_name, oracle_fields = rvoracle.decode(word)
+            if "zimm" in oracle_fields:
+                oracle_fields["rs1"] = oracle_fields.pop("zimm")
+            assert (oracle_name, oracle_fields) == (name, fields), f"0x{word:08x}"
+            insn = decode(word)
+            assert insn.mnemonic == name and insn.raw == word
+            assert {key: getattr(insn, key) for key in fields} == fields, f"0x{word:08x}"
+
+
+@pytest.mark.parametrize(
+    "name, fields",
+    [
+        ("addi", {"imm": 2048}),
+        ("sw", {"imm": -2049}),
+        ("beq", {"imm": 3}),  # odd offset
+        ("jal", {"imm": 1 << 20}),
+        ("lui", {"imm": 0x800}),  # not a multiple of 4096
+        ("srai", {"imm": 32}),
+        ("csrrs", {"imm": 0x1000}),
+        ("csrrwi", {"rs1": 32}),
+        ("add", {"rd": -1}),
+        ("lui", {"rs1": 1}),  # U has no rs1
+        ("ecall", {"imm": 1}),
+    ],
+)
+def test_encode_rejects_fields_that_do_not_fit(name, fields):
+    with pytest.raises(ValueError, match=rf"^{name}: "):
+        encode(name, **fields)
