@@ -154,8 +154,8 @@ class HostAgent:
             sandbox_dir=self.machine.sandbox_dir,
             read_bytes=self.read_guest_bytes,
             write_bytes=self.write_guest_bytes,
-            stdout=self.machine.write_stdout,
-            stderr=self.machine.write_stderr,
+            stdout=self.machine.stdout_data.extend,
+            stderr=self.machine.stderr_data.extend,
             heap_start=image.heap_start,
             heap_limit=region.mailbox_addr - image.stack_size,
             guest_top=region.top,

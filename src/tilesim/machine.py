@@ -105,12 +105,6 @@ class Machine:
             raise LoadError("step 2: no binary supplied")
         return parse_elf(self.binary)
 
-    def write_stdout(self, data: bytes):
-        self.stdout_data += data
-
-    def write_stderr(self, data: bytes):
-        self.stderr_data += data
-
     def finish(self, status: int):
         self.finished = True
         self.exit_status = status

@@ -1,14 +1,20 @@
 """Set-associative cache arrays used for both the private caches and the
 shared L2 slices. Replacement is LRU.
 
-A cache holds only its resident lines: each set is a dict of the lines it
-holds, and one index from line address to line covers all sets, so a lookup
-is one dict probe. A line is created by `install` and leaves through
-`remove`, which marks it INVALID for anyone still holding it."""
+A cache holds only its resident lines: each set is an ordered dict of the
+lines it holds, least recently used first, and one index from line address
+to line covers all sets, so a lookup is one dict probe. A line is created by
+`install`, which appends it as the most recent, and leaves through `remove`,
+which marks it INVALID for anyone still holding it.
+
+An L2 line is also its home's directory entry: its `state` is the directory
+state and `holders` the private caches that may hold a copy. Private-cache
+lines leave `holders` empty."""
 
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass
 
 
@@ -23,7 +29,7 @@ class CacheLine:
     addr: int  # line-aligned address
     state: LineState
     data: bytearray
-    lru: int = 0
+    holders: frozenset[int] = frozenset()
 
 
 class CacheArray:
@@ -31,19 +37,18 @@ class CacheArray:
         self.line_size = line_size
         self.ways = associativity
         self.n_sets = size_bytes // line_size // associativity
-        self.sets: list[dict[int, CacheLine]] = [{} for _ in range(self.n_sets)]
+        self.sets: list[OrderedDict[int, CacheLine]] = [OrderedDict()
+                                                        for _ in range(self.n_sets)]
         self._index: dict[int, CacheLine] = {}
-        self._tick = 0
 
-    def _set(self, line_addr: int) -> dict[int, CacheLine]:
+    def _set(self, line_addr: int) -> OrderedDict[int, CacheLine]:
         return self.sets[(line_addr // self.line_size) % self.n_sets]
 
     def lookup(self, line_addr: int) -> CacheLine | None:
         return self._index.get(line_addr)
 
     def touch(self, line: CacheLine):
-        self._tick += 1
-        line.lru = self._tick
+        self.sets[(line.addr // self.line_size) % self.n_sets].move_to_end(line.addr)
 
     def victim(self, line_addr: int) -> CacheLine | None:
         """The line a new line_addr would displace: None while its set has a
@@ -51,15 +56,15 @@ class CacheArray:
         lines = self._set(line_addr)
         if len(lines) < self.ways:
             return None
-        return min(lines.values(), key=lambda line: line.lru)
+        return next(iter(lines.values()))
 
     def install(self, line_addr: int, data: bytearray, state: LineState) -> CacheLine:
-        """Make line_addr resident in a free way and return its line. The line
-        keeps `data` itself, so pass a bytearray that nothing else holds."""
+        """Make line_addr resident in a free way, as its set's most recently
+        used line, and return it. The line keeps `data` itself, so pass a
+        bytearray that nothing else holds."""
         line = CacheLine(line_addr, state, data)
         self._set(line_addr)[line_addr] = line
         self._index[line_addr] = line
-        self.touch(line)
         return line
 
     def remove(self, line: CacheLine):

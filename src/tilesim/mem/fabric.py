@@ -3,9 +3,10 @@
 Per-tile private caches (the guest core's first-level cache; instructions and
 data both allocate) sit in front of a distributed shared L2 whose slices are
 line-interleaved across tiles by address. Each L2 slice embeds the directory
-for the lines it homes, running an MSI protocol with stable states only:
-Invalid (no cached copies), Shared (sharer set, no owner), Modified (exactly
-one owner, empty sharer set).
+for the lines it homes: an L2 line is its own directory entry, whose state
+and holder set run an MSI protocol with stable states only. Invalid: no
+holders, so no cached copies (the data may sit in the L2). Shared: the
+holders are the sharers. Modified: the one holder is the owner.
 
 A memory operation is one atomic transaction that completes before the next
 scheduler event, so the directory has no transient states. A miss runs as one
@@ -37,10 +38,10 @@ Latency charged to the requester is classified by who serviced the line:
     DRAM                 dram_access_cycles +/- jitter (seeded draw, exact
                          without jitter)
 
-Shared-state evictions are silent, so directory sharer sets may be stale
-supersets; an Invalidate to a non-holder is acked without state change.
-Modified evictions write back on channel 3 and are never silent, so ownership
-is never stale. L2 evictions recall the line from any holders first
+Shared-state evictions are silent, so a Shared line's holders may be a stale
+superset of its sharers; an Invalidate to a non-holder is acked without state
+change. Modified evictions write back on channel 3 and are never silent, so
+ownership is never stale. L2 evictions recall the line from any holders first
 (inclusion), then write DRAM.
 
 Byte lanes: the little-endian guest core reaches the big-endian fabric through
@@ -54,7 +55,7 @@ a byte order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import MachineConfig
 from ..errors import ConfigError, MemoryFault, ProtocolError, SimError
@@ -85,20 +86,6 @@ class MemoryTransaction:
     @property
     def latency(self) -> int:
         return self.complete_cycle - self.issue_cycle
-
-
-@dataclass
-class DirectoryEntry:
-    state: LineState = LineState.INVALID  # INVALID: no cached copies (data may sit in L2)
-    owner: int | None = None
-    sharers: set[int] = field(default_factory=set)
-
-    def check(self, line_addr: int):
-        if self.state is LineState.MODIFIED:
-            if self.owner is None or self.sharers:
-                raise ProtocolError(f"dir 0x{line_addr:08x}: bad Modified entry {self}")
-        elif self.owner is not None:
-            raise ProtocolError(f"dir 0x{line_addr:08x}: owner set in {self.state}")
 
 
 class FabricPort:
@@ -151,7 +138,6 @@ class MemoryFabric:
                     for _ in range(self.n_tiles)]
         self.l2 = [CacheArray(geo.l2_slice_size_bytes, geo.l2_associativity, self.line_size)
                    for _ in range(self.n_tiles)]
-        self.dirs: list[dict[int, DirectoryEntry]] = [{} for _ in range(self.n_tiles)]
         self.rng = random.Random(config.seed)
         self.window = (0, 0)  # (base, size) of the host's shared window; none yet
         self.watches: dict[int, list] = {}
@@ -265,11 +251,14 @@ class MemoryFabric:
 
     def repeat_load_hits(self, tile: int, line: CacheLine, n: int):
         """Count n data loads by `tile`, each a hit on `line` with no other access
-        to that cache between them; one touch orders the ways as n would."""
+        to that cache between them; one touch orders the ways as n would. A line
+        that has since been removed (the event that ends the host's sleep) is
+        not touched: it is gone, and a touch would not reorder the others."""
         counts = self.l15_counts[tile]
         counts[3] += n  # data_accesses
         counts[4] += n  # data_hits
-        self.l15[tile].touch(line)
+        if line.state is not LineState.INVALID:
+            self.l15[tile].touch(line)
 
     # -- transaction driver ------------------------------------------------------
 
@@ -281,7 +270,7 @@ class MemoryFabric:
         home = self.home_of(line_addr)
         self.noc.transfer(op, tile, home, line_addr, now)
         data, serviced, latency = self.directory_handle(home, op, tile, line_addr, now)
-        if line is not None:  # upgrade in place; install touches a new line
+        if line is not None:  # upgrade in place; install makes a new line most recent
             line.state = LineState.MODIFIED
             line.data = bytearray(data)
             self.l15[tile].touch(line)
@@ -298,61 +287,56 @@ class MemoryFabric:
         """One MSI transition at the home slice for a GetShared or GetModified
         from `src`: recall the copies it must, send the data reply, and return
         (the L2 line's own data, serviced level, latency)."""
-        entry, l2line, serviced, latency = self._l2_get(home, line_addr, now)
+        l2line, serviced, latency = self._l2_get(home, line_addr, now)
+        holders = l2line.holders
         if op == "GetShared":
-            if entry.state is LineState.MODIFIED:
-                owner = entry.owner
+            if l2line.state is LineState.MODIFIED:
+                (owner,) = holders
                 self.noc.transfer("Downgrade", home, owner, line_addr, now)
                 data = self.cache_handle(owner, "Downgrade", home, line_addr, now)
                 l2line.data = bytearray(data)
-                sharers = {owner, src}
-            else:
-                sharers = entry.sharers | {src}
-            self._transition(home, line_addr, entry, LineState.SHARED, None, sharers, now)
+            self._transition(home, l2line, LineState.SHARED, holders | {src}, now)
             reply = "DataShared"
         else:
-            if entry.state is LineState.MODIFIED:
-                if entry.owner == src:
-                    raise ProtocolError(f"owner re-requested M for 0x{line_addr:08x}")
-                holders = [entry.owner]
-            else:
-                holders = sorted(entry.sharers - {src})
+            if l2line.state is LineState.MODIFIED and src in holders:
+                raise ProtocolError(f"owner re-requested M for 0x{line_addr:08x}")
+            recalled = sorted(holders - {src})
             # every Invalidate goes out before the first ack comes back
-            for t in holders:
+            for t in recalled:
                 self.noc.transfer("Invalidate", home, t, line_addr, now)
-            for t in holders:
+            for t in recalled:
                 data = self.cache_handle(t, "Invalidate", home, line_addr, now)
                 if data is not None:
                     l2line.data = bytearray(data)
-            self._transition(home, line_addr, entry, LineState.MODIFIED, src, set(), now)
+            self._transition(home, l2line, LineState.MODIFIED, frozenset({src}), now)
             reply = "DataModified"
         self.noc.transfer(reply, home, src, line_addr, now)
         return l2line.data, serviced, latency
 
     def _writeback(self, tile: int, line_addr: int, data: bytearray, now: int):
         """`tile` writes its Modified copy back to the home, which takes the
-        entry to Invalid."""
+        line to Invalid."""
         home = self.home_of(line_addr)
         self.noc.transfer("Writeback", tile, home, line_addr, now)
-        entry = self.dirs[home].get(line_addr)
         l2line = self.l2[home].lookup(line_addr)
-        if entry is None or l2line is None:
+        if l2line is None:
             raise ProtocolError(f"Writeback for untracked line 0x{line_addr:08x}")
-        if entry.state is not LineState.MODIFIED or entry.owner != tile:
+        if l2line.state is not LineState.MODIFIED or tile not in l2line.holders:
             raise ProtocolError(f"Writeback from non-owner tile {tile} for 0x{line_addr:08x}")
         l2line.data = bytearray(data)
-        self._transition(home, line_addr, entry, LineState.INVALID, None, set(), now)
+        self._transition(home, l2line, LineState.INVALID, frozenset(), now)
 
-    def _transition(self, home: int, line_addr: int, entry: DirectoryEntry,
-                    state: LineState, owner: int | None, sharers: set[int], now: int):
-        entry.state, entry.owner, entry.sharers = state, owner, sharers
-        entry.check(line_addr)
+    def _transition(self, home: int, l2line: CacheLine, state: LineState,
+                    holders: frozenset[int], now: int):
+        l2line.state, l2line.holders = state, holders
         if self.trace:
-            shown = ",".join(str(t) for t in sorted(sharers)) or "-"
+            if state is LineState.MODIFIED:
+                (owner,), shown = holders, "-"
+            else:
+                owner, shown = "-", ",".join(str(t) for t in sorted(holders)) or "-"
             self.trace(
-                f"DIR cycle={now} home={home} line=0x{line_addr:08x}"
-                f" state={state.value} owner={'-' if owner is None else owner}"
-                f" sharers={{{shown}}}"
+                f"DIR cycle={now} home={home} line=0x{l2line.addr:08x}"
+                f" state={state.value} owner={owner} sharers={{{shown}}}"
             )
 
     # -- cache side ------------------------------------------------------------------
@@ -394,9 +378,8 @@ class MemoryFabric:
 
     # -- L2 slice + inclusion ----------------------------------------------------------
 
-    def _l2_get(self, home: int, line_addr: int,
-                now: int = 0) -> tuple[DirectoryEntry, CacheLine, str, int]:
-        """The home's entry and L2 line, fetched from DRAM on an L2 miss, with
+    def _l2_get(self, home: int, line_addr: int, now: int) -> tuple[CacheLine, str, int]:
+        """The home's L2 line, fetched from DRAM as Invalid on an L2 miss, with
         the level that serviced the request and its latency."""
         slice_ = self.l2[home]
         counts = self.l2_counts[home]
@@ -405,31 +388,24 @@ class MemoryFabric:
         if l2line is not None:
             counts[1] += 1
             slice_.touch(l2line)
-            return (self.dirs[home][line_addr], l2line,
-                    SERVICED_L2, self.config.timing.l15_to_l2_cycles)
+            return l2line, SERVICED_L2, self.config.timing.l15_to_l2_cycles
         counts[2] += 1
         data, latency = self.dram_read(line_addr)
         victim = slice_.victim(line_addr)
         if victim is not None:
             self._evict_l2(home, victim, now)
-        l2line = slice_.install(line_addr, data, LineState.SHARED)  # state unused in L2
-        entry = self.dirs[home][line_addr] = DirectoryEntry()
-        return entry, l2line, SERVICED_DRAM, latency
+        return slice_.install(line_addr, data, LineState.INVALID), SERVICED_DRAM, latency
 
-    def _evict_l2(self, home: int, victim: CacheLine, now: int = 0):
+    def _evict_l2(self, home: int, victim: CacheLine, now: int):
         """Inclusion: recall/invalidate all cached copies, then write DRAM."""
         line_addr = victim.addr
-        entry = self.dirs[home].pop(line_addr)
-        if entry.state is LineState.MODIFIED:
-            self.noc.transfer("Invalidate", home, entry.owner, line_addr, now)
-            data = self.cache_handle(entry.owner, "Invalidate", home, line_addr, now)
-            if data is None:
+        for tile in sorted(victim.holders):
+            self.noc.transfer("Invalidate", home, tile, line_addr, now)
+            data = self.cache_handle(tile, "Invalidate", home, line_addr, now)
+            if data is not None:
+                victim.data = bytearray(data)
+            elif victim.state is LineState.MODIFIED:
                 raise ProtocolError(f"recall of 0x{line_addr:08x} returned no data")
-            victim.data = bytearray(data)
-        elif entry.state is LineState.SHARED:
-            for tile in sorted(entry.sharers):
-                self.noc.transfer("Invalidate", home, tile, line_addr, now)
-                self.cache_handle(tile, "Invalidate", home, line_addr, now)
         self.dram_write(line_addr, victim.data)
         self.l2[home].remove(victim)
         self._check_line_invariants(line_addr)
@@ -445,26 +421,32 @@ class MemoryFabric:
                 f"single-writer violated at 0x{line_addr:08x}: "
                 + ", ".join(f"tile{t}={ln.state.value}" for t, ln in valid)
             )
-        entry = self.dirs[self.home_of(line_addr)].get(line_addr)
+        entry = self.l2[self.home_of(line_addr)].lookup(line_addr)
         for t, ln in valid:
             if entry is None:
                 raise ProtocolError(f"0x{line_addr:08x} cached by tile {t} but untracked")
-            if ln.state is LineState.MODIFIED and entry.owner != t:
-                raise ProtocolError(f"0x{line_addr:08x} M in tile {t}, directory disagrees")
-            if ln.state is LineState.SHARED and t not in entry.sharers:
-                raise ProtocolError(f"0x{line_addr:08x} S in tile {t} missing from sharers")
+            if (ln.state is LineState.MODIFIED) != (entry.state is LineState.MODIFIED):
+                raise ProtocolError(f"0x{line_addr:08x} {ln.state.value} in tile {t},"
+                                    f" {entry.state.value} in the directory")
+            if t not in entry.holders:
+                raise ProtocolError(f"0x{line_addr:08x} in tile {t}, missing from holders")
 
     def check_global_invariants(self):
-        """Full sweep used by the small-scale explorers and property tests."""
-        seen = set()
-        for tile in range(self.n_tiles):
-            for line in self.l15[tile].resident_lines():
-                if line.addr not in seen:
-                    seen.add(line.addr)
-                    self._check_line_invariants(line.addr)
-                home = self.home_of(line.addr)
-                if self.l2[home].lookup(line.addr) is None:
-                    raise ProtocolError(f"inclusion violated for 0x{line.addr:08x}")
-        for home in range(self.n_tiles):
-            for line_addr, entry in self.dirs[home].items():
-                entry.check(line_addr)
+        """Full sweep used by the small-scale explorers and property tests:
+        every private copy against its directory entry, then every entry
+        against the private copies."""
+        for line_addr in {line.addr for cache in self.l15 for line in cache.resident_lines()}:
+            self._check_line_invariants(line_addr)
+        for slice_ in self.l2:
+            for entry in slice_.resident_lines():
+                state, n = entry.state, len(entry.holders)  # M: one, S: some, I: none
+                if not (n == 1 if state is LineState.MODIFIED
+                        else (n > 0) == (state is LineState.SHARED)):
+                    raise ProtocolError(f"dir 0x{entry.addr:08x}: {state.value} with holders"
+                                        f" {sorted(entry.holders)}")
+                if state is LineState.MODIFIED:
+                    (owner,) = entry.holders
+                    line = self.l15[owner].lookup(entry.addr)
+                    if line is None or line.state is not LineState.MODIFIED:
+                        raise ProtocolError(f"0x{entry.addr:08x} owned by tile {owner},"
+                                            " which holds no Modified copy")

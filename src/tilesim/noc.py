@@ -79,7 +79,7 @@ class Noc:
     def send_interrupt(self, src: int, dst: int, irq: str, when: int) -> int:
         """Count and trace one interrupt; returns its delivery time."""
         delivery = when + self.hop_count(src, dst) * self.mesh.hop_cycles
-        self.injected[CH_WB_IRQ] += 1
+        self.injected[CHANNEL_OF["Interrupt"]] += 1
         if self.trace:
             self.trace(f"IRQ cycle={when} kind={irq} src={src} dst={dst} deliver@{delivery}")
         return delivery

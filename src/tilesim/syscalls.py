@@ -24,11 +24,6 @@ SYS_FSTAT = 80
 SYS_EXIT = 93
 SYS_BRK = 214
 
-NAMES = {
-    SYS_OPENAT: "openat", SYS_CLOSE: "close", SYS_LSEEK: "lseek", SYS_READ: "read",
-    SYS_WRITE: "write", SYS_FSTAT: "fstat", SYS_EXIT: "exit", SYS_BRK: "brk",
-}
-
 AT_FDCWD = 0xFFFFFF9C  # -100 as u32
 
 # guest open flags (generic Linux values)

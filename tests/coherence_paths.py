@@ -7,7 +7,7 @@ def watch_coherence_paths(fabric) -> set:
     """Wrap the fabric instance's handlers; returns the set to which each
     path the run goes on to take is added: `Downgrade:<state>` and
     `Invalidate:<state>` by the state of the copy the request finds (`stale`
-    if none), `L2 recall:<state>` by the directory state of the L2 victim,
+    if none), `L2 recall:<state>` by the L2 victim's directory state,
     and `Writeback`."""
     reached = set()
     cache_handle, writeback, evict_l2 = fabric.cache_handle, fabric._writeback, fabric._evict_l2
@@ -22,7 +22,7 @@ def watch_coherence_paths(fabric) -> set:
         return writeback(*args)
 
     def on_evict_l2(home, victim, *args):
-        reached.add(f"L2 recall:{fabric.dirs[home][victim.addr].state.value}")
+        reached.add(f"L2 recall:{victim.state.value}")
         return evict_l2(home, victim, *args)
 
     fabric.cache_handle = on_cache

@@ -144,7 +144,6 @@ def test_all_lines_invalid_at_startup():
     fabric = make_fabric(n_guests=2)
     for cache in fabric.l15 + fabric.l2:
         assert list(cache.resident_lines()) == []
-    assert all(not d for d in fabric.dirs)
 
 
 def test_store_invalidates_other_readers():
@@ -217,6 +216,17 @@ def test_protocol_violation_asserts():
         fabric._writeback(1, 0x1000, b"x" * 16, 0)
 
 
+def test_sweep_finds_an_owner_that_dropped_its_copy():
+    """The sweep checks each directory entry against the private caches: a
+    Modified line whose owner lost its copy without a writeback is caught."""
+    fabric = make_fabric(n_guests=2)
+    guest_port(fabric, 1).store(0x1000, 4, 1)
+    fabric.check_global_invariants()
+    fabric.l15[1].remove(fabric.l15[1].lookup(0x1000))  # a silent Modified eviction
+    with pytest.raises(ProtocolError, match=r"tile 1\b"):
+        fabric.check_global_invariants()
+
+
 def test_downgrade_to_non_owner_asserts():
     fabric = make_fabric(n_guests=2)
     with pytest.raises(ProtocolError, match="does not own"):
@@ -280,7 +290,7 @@ def test_port_rejects_tile_outside_fabric():
         with pytest.raises(ConfigError, match=rf"tile {tile}\b"):
             FabricPort(fabric, tile)
     assert set(fabric.counts().values()) == {0}
-    assert all(d == {} for d in fabric.dirs)
+    assert all(not list(slice_.resident_lines()) for slice_ in fabric.l2)
 
 
 def test_stats_hits_plus_misses_equals_accesses():

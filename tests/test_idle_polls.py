@@ -67,8 +67,9 @@ def count_calls(monkeypatch, cls, name) -> list:
 
 def run_both(monkeypatch, tmp_path, config, binary, make_sandbox=lambda path: None,
              tohost=None):
-    """Run untraced, then traced; returns each run's (stats JSON, stdout,
-    HostMailbox.poll calls, status-line recalls, (tohost value, trap))."""
+    """Run untraced, then traced, and sweep the coherence invariants after each
+    run; returns each run's (stats JSON, stdout, HostMailbox.poll calls,
+    status-line recalls, (tohost value, trap))."""
     polls = count_calls(monkeypatch, HostMailbox, "poll")
     skips = count_calls(monkeypatch, HostAgent, "skip_idle_polls")
     results = {}
@@ -82,6 +83,7 @@ def run_both(monkeypatch, tmp_path, config, binary, make_sandbox=lambda path: No
             machine.watch_tohost(tohost)
         recalls = status_recalls(machine)
         stats = machine.run()
+        machine.fabric.check_global_invariants()
         # one charge per sleep, and a sleep follows a poll; traced runs never sleep
         assert len(skips) <= (len(polls) if trace_path is None else 0)
         results["traced" if trace_path else "untraced"] = (
