@@ -19,12 +19,17 @@ reproduce byte for byte.
   store latencies of 8 jittered trials at seed 0. The lists lock the order
   in which runs draw DRAM jitter, where the acceptance test checks only
   their range.
+- Every bundled program's ELF: its length and sha256. These are hello, the
+  three corpus benchmarks, the four latency probes, the rv32ui suite and the
+  three perfbench workloads at seeds 0 and 1. A change to the assembler that
+  claims to keep the syntax it accepts must leave every byte in place.
 
 The files under tests/golden/ change only in a commit of their own that says
 why the model moved.
 """
 
 import hashlib
+import importlib
 import json
 import random
 import re
@@ -36,13 +41,14 @@ from coherence_paths import watch_coherence_paths
 from tilesim import corpus
 from tilesim.config import (GUEST_RV32, HOST_AGENT, CacheGeometry, MachineConfig, MeshConfig,
                             TimingConfig)
-from tilesim.harness import run_latency_probe
+from tilesim.harness import _suite_config, bundled_suite_elves, run_latency_probe
 from tilesim.machine import Machine
 from tilesim.mem.cache import LineState
 from tilesim.mem.fabric import FabricPort, MemoryFabric
 from tilesim.noc import Noc
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def sha256(data: bytes) -> str:
@@ -152,3 +158,35 @@ def test_multi_guest_hammer_matches_golden():
                                    sort_keys=True).encode()),
     }
     assert got == load_golden("hammer.json")
+
+
+def perfbench_workloads():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module("workloads")
+
+
+def bundled_programs() -> dict[str, bytes]:
+    """name -> ELF of every program that the repo assembles from its own sources."""
+    cfg = MachineConfig()
+    elves = {"hello": corpus.hello_elf(cfg)}
+    for name in corpus.BENCH_NAMES:
+        elves[name] = corpus.bench_elf(name, cfg)
+    for op in corpus.PROBE_OPS:
+        for cached in (True, False):
+            elf, _ = corpus.probe_elf(op, cached, cfg)
+            elves[f"probe-{op}-{'cached' if cached else 'uncached'}"] = elf
+    for name, elf in bundled_suite_elves(_suite_config(cfg)).items():
+        elves[f"rv32ui-{name}"] = elf
+    workloads = perfbench_workloads()
+    for name in workloads.NAMES:
+        for seed in (0, 1):
+            w = workloads.make(name, seed)
+            elves[f"perfbench-{name}-seed{seed}"] = w.build(w.config())
+    return elves
+
+
+def test_bundled_programs_match_golden():
+    got = {name: {"bytes": len(elf), "sha256": sha256(elf)}
+           for name, elf in sorted(bundled_programs().items())}
+    assert got == load_golden("programs.json")
