@@ -6,6 +6,9 @@ this module. It covers full RV32I plus the usual pseudo-instructions and a
 handful of data directives; anything it does not know is an error rather than
 a silent skip, and every error is an AsmError naming the source line.
 
+An expression is a sum of signed terms, each a number (decimal, 0x or 0b) or
+a symbol: `-8`, `BASE + 16`, `end - start`.
+
 This module parses operands, expressions and directives and holds no
 encodings: `rv32.insn.encode` packs every instruction from the one RV32I
 encoding table, whose format for a mnemonic also says how its operands are
@@ -42,127 +45,26 @@ class Program:
     entry: int
 
 
-# ---------------------------------------------------------------------------
-# expression evaluation
+# One term of an expression and the sign before it: a number or a symbol.
+_TERM = re.compile(
+    r"\s*([-+]?)\s*(0[xX][0-9a-fA-F]+|0[bB][01]+|[1-9][0-9]*|0|[A-Za-z_.][\w.$]*)\s*")
 
 
-class _Expr:
-    """Tiny recursive-descent evaluator over ints, symbols, %hi/%lo and + - * / etc."""
-
-    _TOKEN = re.compile(
-        r"\s*(?:(0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)|(%hi|%lo|[A-Za-z_.][\w.$]*)"
-        r"|(<<|>>|[()+\-*/%&|^~]))"
-    )
-
-    def __init__(self, text: str, symbols: dict[str, int], line: int):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = self._TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise AsmError(f"bad expression {text!r}", line)
-                break
-            self.tokens.append(m.group(0).strip())
-            pos = m.end()
-        self.symbols = symbols
-        self.line = line
-        self.i = 0
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        self.i += 1
-        return tok
-
-    def parse(self) -> int:
-        value = self._or()
-        if self._peek() is not None:
-            raise AsmError(f"trailing junk in expression: {self._peek()!r}", self.line)
-        return value
-
-    def _or(self):
-        v = self._xor()
-        while self._peek() == "|":
-            self._next()
-            v |= self._xor()
-        return v
-
-    def _xor(self):
-        v = self._and()
-        while self._peek() == "^":
-            self._next()
-            v ^= self._and()
-        return v
-
-    def _and(self):
-        v = self._shift()
-        while self._peek() == "&":
-            self._next()
-            v &= self._shift()
-        return v
-
-    def _shift(self):
-        v = self._sum()
-        while self._peek() in ("<<", ">>"):
-            if self._next() == "<<":
-                v <<= self._sum()
-            else:
-                v >>= self._sum()
-        return v
-
-    def _sum(self):
-        v = self._term()
-        while self._peek() in ("+", "-"):
-            if self._next() == "+":
-                v += self._term()
-            else:
-                v -= self._term()
-        return v
-
-    def _term(self):
-        v = self._unary()
-        while self._peek() in ("*", "/", "%"):
-            op = self._next()
-            rhs = self._unary()
-            if op == "*":
-                v *= rhs
-            elif op == "/":
-                v //= rhs
-            else:
-                v %= rhs
-        return v
-
-    def _unary(self):
-        tok = self._next()
-        if tok is None:
-            raise AsmError("expression ends early", self.line)
-        if tok == "-":
-            return -self._unary()
-        if tok == "~":
-            return ~self._unary()
-        if tok == "+":
-            return self._unary()
-        if tok == "(":
-            v = self._or()
-            if self._next() != ")":
-                raise AsmError("missing ')'", self.line)
-            return v
-        if tok in ("%hi", "%lo"):
-            if self._next() != "(":
-                raise AsmError(f"{tok} needs parentheses", self.line)
-            v = self._or()
-            if self._next() != ")":
-                raise AsmError("missing ')'", self.line)
-            lo = ((v & 0xFFF) ^ 0x800) - 0x800  # sign-extended low 12
-            return ((v - lo) >> 12) & 0xFFFFF if tok == "%hi" else lo
-        if tok[0].isdigit():
-            return int(tok, 0)
-        if tok in self.symbols:
-            return self.symbols[tok]
-        raise AsmError(f"undefined symbol {tok!r}", self.line)
+def _eval(text: str, symbols: dict[str, int], line: int) -> int:
+    """Evaluate a sum of signed terms; only the first term's sign is optional."""
+    value = pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if m is None or (pos and not m[1]):
+            raise AsmError(f"bad expression {text!r}", line)
+        tok = m[2]
+        term = int(tok, 0) if tok[0].isdigit() else symbols.get(tok)
+        if term is None:
+            raise AsmError(f"undefined symbol {tok!r}", line)
+        value += -term if m[1] == "-" else term
+        pos = m.end()
+        if pos == len(text):
+            return value
 
 
 # Pseudo-instructions as base instructions over their operands {0}, {1}, ...
@@ -181,11 +83,25 @@ _PSEUDO = {op: (text.count("{"), text.split(" ", 1)[0], text.split(" ", 1)[1].sp
            for op, text in _PSEUDO_TEXT.items()}
 
 
+# Operands each format takes, once loads and stores share the "mem" shape
+# `reg, offset(reg)`; None is fence's, whose any operand list is the full barrier.
+_OPERANDS = {"R": 3, "I": 3, "shift": 3, "mem": 2, "B": 3, "J": 2, "U": 2, "CSR": 3,
+             "fixed": 0, "fence": None}
+
+# A data directive's size in bytes.
+_DATA_SIZES = {".word": 4, ".half": 2, ".byte": 1}
+
+
 def _reg(tok: str, line: int) -> int:
-    r = REGS.get(tok.strip().lower())
+    r = REGS.get(tok.lower())
     if r is None:
         raise AsmError(f"not a register: {tok!r}", line)
     return r
+
+
+def _expect(op: str, args: list[str], count: int, line: int):
+    if len(args) != count:
+        raise AsmError(f"{op} expects {count} operands, got {len(args)}", line)
 
 
 _MEMOP = re.compile(r"^(.*)\(\s*([A-Za-z0-9]+)\s*\)$")
@@ -195,7 +111,8 @@ _MEMOP = re.compile(r"^(.*)\(\s*([A-Za-z0-9]+)\s*\)$")
 class _Item:
     line: int
     addr: int
-    kind: str  # insn | word | half | byte | bytes
+    kind: str  # insn | data | bytes
+    size: int
     op: str = ""
     args: list = field(default_factory=list)
     blob: bytes = b""
@@ -231,12 +148,6 @@ class Assembler:
             raise AsmError(f"symbol {name!r} redefined", lineno)
         self.symbols[name] = value
 
-    def _eval(self, text: str, lineno: int) -> int:
-        try:
-            return _Expr(text, self.symbols, lineno).parse()
-        except (ArithmeticError, ValueError) as err:  # x/0, x%0, x << -1
-            raise AsmError(f"cannot evaluate {text!r}: {err}", lineno) from None
-
     def _directive(self, line: str, lineno: int):
         parts = line.split(None, 1)
         name, rest = parts[0], parts[1] if len(parts) > 1 else ""
@@ -244,46 +155,45 @@ class Assembler:
             sym, comma, expr = rest.partition(",")
             if not comma:
                 raise AsmError(f"{name} needs a name and a value", lineno)
-            self._define(sym.strip(), self._eval(expr, lineno), lineno)
+            self._define(sym.strip(), _eval(expr, self.symbols, lineno), lineno)
         elif name == ".globl" or name == ".global":
             pass  # every label is exported
         elif name == ".balign":
-            boundary = self._eval(rest, lineno)
+            boundary = _eval(rest, self.symbols, lineno)
             if boundary < 1 or boundary & (boundary - 1):
                 raise AsmError(".balign needs a power of two", lineno)
             pad = -self.addr % boundary
             if pad:
-                self._emit(_Item(lineno, self.addr, "bytes", blob=b"\x00" * pad))
+                self._emit_bytes(b"\x00" * pad, lineno)
         elif name in (".space", ".zero"):
-            count = self._eval(rest, lineno)
+            count = _eval(rest, self.symbols, lineno)
             if count < 0:
                 raise AsmError(".space needs a non-negative size", lineno)
-            self._emit(_Item(lineno, self.addr, "bytes", blob=b"\x00" * count))
-        elif name in (".word", ".half", ".byte"):
-            size = {".word": 4, ".half": 2, ".byte": 1}[name]
-            exprs = [e.strip() for e in rest.split(",")]
-            kind = {4: "word", 2: "half", 1: "byte"}[size]
-            for expr in exprs:
-                self._emit(_Item(lineno, self.addr, kind, args=[expr]), size)
+            self._emit_bytes(b"\x00" * count, lineno)
+        elif name in _DATA_SIZES:
+            for expr in rest.split(","):
+                self._emit(_Item(lineno, self.addr, "data", _DATA_SIZES[name], args=[expr]))
         elif name in (".ascii", ".asciz"):
             text = _parse_string(rest, lineno)
             if name == ".asciz":
                 text += b"\x00"
-            self._emit(_Item(lineno, self.addr, "bytes", blob=text))
+            self._emit_bytes(text, lineno)
         else:
             raise AsmError(f"unknown directive {name}", lineno)
 
     def _instruction(self, line: str, lineno: int):
         parts = line.split(None, 1)
         op = parts[0].lower()
-        argtext = parts[1] if len(parts) > 1 else ""
-        args = _split_args(argtext)
+        args = [arg.strip() for arg in parts[1].split(",")] if len(parts) > 1 else []
         size = 8 if op in ("li", "la") else 4
-        self._emit(_Item(lineno, self.addr, "insn", op=op, args=args), size)
+        self._emit(_Item(lineno, self.addr, "insn", size, op=op, args=args))
 
-    def _emit(self, item: _Item, size: int | None = None):
+    def _emit_bytes(self, blob: bytes, lineno: int):
+        self._emit(_Item(lineno, self.addr, "bytes", len(blob), blob=blob))
+
+    def _emit(self, item: _Item):
         self.items.append(item)
-        self.addr += size if size is not None else len(item.blob)
+        self.addr += item.size
 
     # -- pass 2 -----------------------------------------------------------
 
@@ -293,10 +203,9 @@ class Assembler:
             assert self.base + len(out) == item.addr, f"layout drift at line {item.line}"
             if item.kind == "bytes":
                 out += item.blob
-            elif item.kind in ("word", "half", "byte"):
-                size = {"word": 4, "half": 2, "byte": 1}[item.kind]
-                value = self._eval(item.args[0], item.line) & ((1 << size * 8) - 1)
-                out += value.to_bytes(size, "little")
+            elif item.kind == "data":
+                value = _eval(item.args[0], self.symbols, item.line)
+                out += (value & ((1 << item.size * 8) - 1)).to_bytes(item.size, "little")
             else:
                 try:
                     words = self._encode(item)
@@ -308,99 +217,52 @@ class Assembler:
         return Program(self.base, bytes(out), dict(self.symbols), entry)
 
     def _encode(self, item: _Item) -> list[int]:
-        op, args, line, addr = item.op, item.args, item.line, item.addr
-        ev = lambda text: self._eval(text, line)  # noqa: E731
-
-        def reg(i):
-            return _reg(args[i], line)
-
-        def nargs(n):
-            if len(args) != n:
-                raise AsmError(f"{op} expects {n} operands, got {len(args)}", line)
-
-        def memop(i):
-            m = _MEMOP.match(args[i])
-            if not m:
-                raise AsmError(f"expected offset(reg), got {args[i]!r}", line)
-            off = ev(m.group(1)) if m.group(1).strip() else 0
-            return off, _reg(m.group(2), line)
-
-        def btarget(i):
-            return ev(args[i]) - addr
-
+        op, args, line, symbols = item.op, item.args, item.line, self.symbols
         if op in ("li", "la"):
-            nargs(2)
-            value = ev(args[1]) & 0xFFFFFFFF
+            _expect(op, args, 2, line)
+            rd, value = _reg(args[0], line), _eval(args[1], symbols, line) & 0xFFFFFFFF
             lo = sext(value, 12)
-            rd = reg(0)
             return [encode("lui", rd, imm=sext(value - lo, 32)), encode("addi", rd, rd, imm=lo)]
         if op in _PSEUDO:
             count, base, templates = _PSEUDO[op]
-            nargs(count)
+            _expect(op, args, count, line)
             op, args = base, [template.format(*args) for template in templates]
 
-        # base instructions, by format; jal and jalr also take short forms
-        if op == "jal":
-            if len(args) == 1:
-                return [encode("jal", REGS["ra"], imm=btarget(0))]
-            nargs(2)
-            return [encode("jal", reg(0), imm=btarget(1))]
-        if op == "jalr":
-            if len(args) == 1:
-                return [encode("jalr", REGS["ra"], reg(0))]
-            if len(args) == 2:
-                off, rs1 = memop(1)
-                return [encode("jalr", reg(0), rs1, imm=off)]
-            nargs(3)
-            return [encode("jalr", reg(0), reg(1), imm=ev(args[2]))]
         enc = ENCODINGS.get(op)
         if enc is None:
             raise AsmError(f"unknown instruction {op!r}", line)
-        if enc.fmt == "R":
-            nargs(3)
-            return [encode(op, reg(0), reg(1), reg(2))]
-        if enc.opclass is OpClass.LOAD:
-            nargs(2)
-            off, rs1 = memop(1)
-            return [encode(op, reg(0), rs1, imm=off)]
-        if enc.fmt in ("I", "shift"):
-            nargs(3)
-            return [encode(op, reg(0), reg(1), imm=ev(args[2]))]
-        if enc.fmt == "S":
-            nargs(2)
-            off, rs1 = memop(1)
-            return [encode(op, 0, rs1, reg(0), off)]
-        if enc.fmt == "B":
-            nargs(3)
-            return [encode(op, 0, reg(0), reg(1), btarget(2))]
-        if enc.fmt == "U":  # the operand is the upper 20 bits
-            nargs(2)
-            return [encode(op, reg(0), imm=sext(ev(args[1]) << 12, 32))]
-        if enc.fmt == "CSR":
-            nargs(3)
+        fmt = "mem" if enc.opclass in (OpClass.LOAD, OpClass.STORE) else enc.fmt
+        if _OPERANDS[fmt] is not None:
+            _expect(op, args, _OPERANDS[fmt], line)
+        if fmt == "mem":
+            m = _MEMOP.match(args[1])
+            if not m:
+                raise AsmError(f"expected offset(reg), got {args[1]!r}", line)
+            off = _eval(m[1], symbols, line) if m[1].strip() else 0
+            reg, rs1 = _reg(args[0], line), _reg(m[2], line)
+            if enc.fmt == "S":
+                return [encode(op, 0, rs1, reg, off)]
+            return [encode(op, reg, rs1, imm=off)]
+        if fmt == "R":
+            return [encode(op, _reg(args[0], line), _reg(args[1], line), _reg(args[2], line))]
+        if fmt in ("I", "shift"):  # jalr included
+            return [encode(op, _reg(args[0], line), _reg(args[1], line),
+                           imm=_eval(args[2], symbols, line))]
+        if fmt == "B":
+            return [encode(op, 0, _reg(args[0], line), _reg(args[1], line),
+                           _eval(args[2], symbols, line) - item.addr)]
+        if fmt == "J":
+            return [encode(op, _reg(args[0], line), imm=_eval(args[1], symbols, line) - item.addr)]
+        if fmt == "U":  # the operand is the upper 20 bits
+            return [encode(op, _reg(args[0], line),
+                           imm=sext(_eval(args[1], symbols, line) << 12, 32))]
+        if fmt == "CSR":
             csr = CSRS.get(args[1].lower())
             if csr is None:
-                csr = ev(args[1])
-            rs1 = ev(args[2]) if op.endswith("i") else reg(2)
-            return [encode(op, reg(0), rs1, imm=csr)]
-        # any operand list of fence is the full barrier; ecall and ebreak take none
-        return [encode(op, imm=0x0FF if enc.fmt == "fence" else 0)]
-
-
-def _split_args(text: str) -> list[str]:
-    """Split on commas not inside parentheses."""
-    args, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            args.append(cur.strip())
-            cur = ""
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        cur += ch
-    if cur.strip():
-        args.append(cur.strip())
-    return args
+                csr = _eval(args[1], symbols, line)
+            rs1 = _eval(args[2], symbols, line) if op.endswith("i") else _reg(args[2], line)
+            return [encode(op, _reg(args[0], line), rs1, imm=csr)]
+        return [encode(op, imm=0x0FF if fmt == "fence" else 0)]
 
 
 def _parse_string(text: str, line: int) -> bytes:

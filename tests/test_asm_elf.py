@@ -121,11 +121,20 @@ def test_unknown_mnemonic_and_redefinition_rejected():
         "csrrwi a0, cycle, 32",  # zimm wider than 5 bits
         "slli a0, a0, 32",
         "lw a0, 2048(a1)",
+        "ecall a0",  # ecall and ebreak take no operands
+        # an expression is a sum of signed numbers and symbols, nothing more
+        "li a0, 1 | 2",
+        "li a0, ~0",
+        "li a0, (4)",
+        "lui a0, %hi(x)",
+        # jal takes rd, label and jalr rd, rs1, imm: no short forms
+        "jal target",
+        "jalr a0",
     ],
 )
 def test_bad_source_fails_as_asm_error_naming_its_line(bad):
-    with pytest.raises(AsmError) as exc:
-        assemble(f"nop\n{bad}\nnop\n", base=0)
+    with pytest.raises(AsmError) as exc:  # the symbols are defined, so only the syntax is bad
+        assemble(f"nop\n{bad}\nnop\n", base=0, defines={"target": 0, "x": 0x12345})
     assert exc.value.line == 2
     assert str(exc.value).startswith("line 2: ")
 
@@ -135,6 +144,15 @@ def test_defines_feed_expressions():
     w = words(prog)
     lui, addi = rvoracle.decode(w[0]), rvoracle.decode(w[1])
     assert (lui[1]["imm"] + addi[1]["imm"]) & 0xFFFFFFFF == 0x108
+
+
+def test_sum_of_signed_terms():
+    prog = assemble("li a0, END - START + 4\n.word -1", base=0,
+                    defines={"START": 0x100, "END": 0x140})
+    w = words(prog)
+    lui, addi = rvoracle.decode(w[0]), rvoracle.decode(w[1])
+    assert (lui[1]["imm"] + addi[1]["imm"]) & 0xFFFFFFFF == 0x44
+    assert w[2] == 0xFFFFFFFF
 
 
 def test_elf_round_trip():
