@@ -227,6 +227,80 @@ def test_sweep_finds_an_owner_that_dropped_its_copy():
         fabric.check_global_invariants()
 
 
+# -- each promised check fires on a state built by hand -------------------------
+
+LINE = 0x1000
+
+
+def l2_line(fabric, line_addr=LINE):
+    return fabric.l2[fabric.home_of(line_addr)].lookup(line_addr)
+
+
+def test_line_check_finds_a_second_copy_of_a_modified_line():
+    fabric = make_fabric(n_guests=2)
+    guest_port(fabric, 1).store(LINE, 4, 1)
+    fabric.l15[2].install(LINE, bytearray(16), LineState.SHARED)
+    with pytest.raises(ProtocolError, match="single-writer violated"):
+        fabric._check_line_invariants(LINE)
+
+
+def test_line_check_finds_modified_copy_of_a_shared_entry():
+    fabric = make_fabric(n_guests=2)
+    guest_port(fabric, 1).load(LINE, 4)
+    fabric.l15[1].lookup(LINE).state = LineState.MODIFIED
+    with pytest.raises(ProtocolError, match="M in tile 1, S in the directory"):
+        fabric._check_line_invariants(LINE)
+
+
+def test_line_check_finds_a_copy_missing_from_holders():
+    fabric = make_fabric(n_guests=2)
+    guest_port(fabric, 1).load(LINE, 4)
+    fabric.l15[2].install(LINE, bytearray(16), LineState.SHARED)
+    with pytest.raises(ProtocolError, match="in tile 2, missing from holders"):
+        fabric._check_line_invariants(LINE)
+
+
+def test_line_check_finds_a_copy_without_an_l2_line():
+    fabric = make_fabric(n_guests=2)
+    guest_port(fabric, 1).load(LINE, 4)
+    fabric.l2[fabric.home_of(LINE)].remove(l2_line(fabric))
+    with pytest.raises(ProtocolError, match="cached by tile 1 but untracked"):
+        fabric._check_line_invariants(LINE)
+
+
+def test_sweep_finds_a_modified_entry_with_two_holders():
+    fabric = make_fabric(n_guests=2)
+    guest_port(fabric, 1).store(LINE, 4, 1)
+    l2_line(fabric).holders = frozenset({1, 2})  # tile 1's own copy still checks out
+    fabric._check_line_invariants(LINE)
+    with pytest.raises(ProtocolError, match=r"M with holders \[1, 2\]"):
+        fabric.check_global_invariants()
+
+
+def test_data_value_check_finds_dram_written_behind_the_shadow():
+    fabric = make_fabric(n_guests=2)
+    fabric.dram[LINE:LINE + 4] = b"\xff" * 4
+    with pytest.raises(SimError, match="data-value check failed at 0x00001000"):
+        guest_port(fabric, 1).load(LINE, 4)
+
+
+def test_directory_finds_an_owner_that_re_requests_modified():
+    fabric = make_fabric(n_guests=2)
+    port = guest_port(fabric, 1)
+    port.store(LINE, 4, 1)
+    fabric.l15[1].remove(fabric.l15[1].lookup(LINE))  # a silent Modified eviction
+    with pytest.raises(ProtocolError, match="owner re-requested M"):
+        port.store(LINE, 4, 2)
+
+
+def test_l2_eviction_finds_a_recall_of_modified_that_returns_no_data():
+    fabric = make_fabric(n_guests=2)
+    guest_port(fabric, 1).store(LINE, 4, 1)
+    fabric.l15[1].remove(fabric.l15[1].lookup(LINE))  # a silent Modified eviction
+    with pytest.raises(ProtocolError, match="recall of 0x00001000 returned no data"):
+        fabric._evict_l2(fabric.home_of(LINE), l2_line(fabric), 0)
+
+
 def test_downgrade_to_non_owner_asserts():
     fabric = make_fabric(n_guests=2)
     with pytest.raises(ProtocolError, match="does not own"):
