@@ -21,8 +21,8 @@ reproduce byte for byte.
   their range.
 - Every bundled program's ELF: its length and sha256. These are hello, the
   three corpus benchmarks, the four latency probes, the rv32ui suite and the
-  three perfbench workloads at seeds 0 and 1. A change to the assembler that
-  claims to keep the syntax it accepts must leave every byte in place.
+  three perfbench workloads at seeds 0 and 1. An assembler change that
+  claims to move no program must leave every byte in place.
 
 The files under tests/golden/ change only in a commit of their own that says
 why the model moved.
@@ -160,12 +160,6 @@ def test_multi_guest_hammer_matches_golden():
     assert got == load_golden("hammer.json")
 
 
-def perfbench_workloads():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        return importlib.import_module("workloads")
-
-
 def bundled_programs() -> dict[str, bytes]:
     """name -> ELF of every program that the repo assembles from its own sources."""
     cfg = MachineConfig()
@@ -178,7 +172,9 @@ def bundled_programs() -> dict[str, bytes]:
             elves[f"probe-{op}-{'cached' if cached else 'uncached'}"] = elf
     for name, elf in bundled_suite_elves(_suite_config(cfg)).items():
         elves[f"rv32ui-{name}"] = elf
-    workloads = perfbench_workloads()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
     for name in workloads.NAMES:
         for seed in (0, 1):
             w = workloads.make(name, seed)
