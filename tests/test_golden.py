@@ -19,6 +19,10 @@ reproduce byte for byte.
   store latencies of 8 jittered trials at seed 0. The lists lock the order
   in which runs draw DRAM jitter, where the acceptance test checks only
   their range.
+- The benchmark guests memwalk and sysio at seed 0: sha256 of the stats
+  JSON, of the guest stdout and of the `--trace` file
+  (`test_idle_polls.py::test_benchmark_guest_fast_path_equals_slow_path`,
+  which reuses its traced run). sysio is the host's syscall copy path.
 - Every bundled program's ELF: its length and sha256. These are hello, the
   three corpus benchmarks, the four latency probes, the rv32ui suite and the
   three perfbench workloads at seeds 0 and 1. An assembler change that

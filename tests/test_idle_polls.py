@@ -6,6 +6,9 @@ the run ends, then charges the skipped polls in one `skip_idle_polls` call.
 An open trace (here on the null device) turns that off, so the traced run is
 the reference: every run's stats JSON and stdout must match it byte for
 byte, and an untraced run makes at most one charge per real poll.
+
+The benchmark guests' traced runs write a real trace file, and their seed-0
+stats JSON, stdout and trace are locked in tests/golden/benchmarks.json.
 """
 
 import dataclasses
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import LAYOUTS
+from test_golden import LAYOUTS, load_golden, sha256
 from tilesim import corpus
 from tilesim.asm import assemble
 from tilesim.config import MachineConfig
@@ -66,14 +69,14 @@ def count_calls(monkeypatch, cls, name) -> list:
 
 
 def run_both(monkeypatch, tmp_path, config, binary, make_sandbox=lambda path: None,
-             tohost=None):
-    """Run untraced, then traced, and sweep the coherence invariants after each
-    run; returns each run's (stats JSON, stdout, HostMailbox.poll calls,
-    status-line recalls, (tohost value, trap))."""
+             tohost=None, trace_path=os.devnull):
+    """Run untraced, then traced into `trace_path`, and sweep the coherence
+    invariants after each run; returns each run's (stats JSON, stdout,
+    HostMailbox.poll calls, status-line recalls, (tohost value, trap))."""
     polls = count_calls(monkeypatch, HostMailbox, "poll")
     skips = count_calls(monkeypatch, HostAgent, "skip_idle_polls")
     results = {}
-    for trace_path in (None, os.devnull):
+    for trace_path in (None, trace_path):
         polls.clear()
         skips.clear()
         sandbox = make_sandbox(str(tmp_path / f"sandbox-{trace_path is None}"))
@@ -124,9 +127,14 @@ def test_hello_fast_path_equals_slow_path(layout, monkeypatch, tmp_path):
 def test_benchmark_guest_fast_path_equals_slow_path(name, workloads, monkeypatch, tmp_path):
     w = workloads.make(name, 0)
     cfg = w.config()
-    untraced, traced = run_both(monkeypatch, tmp_path, cfg, w.build(cfg), w.make_sandbox)
+    trace = tmp_path / f"{name}.trace"
+    untraced, traced = run_both(monkeypatch, tmp_path, cfg, w.build(cfg), w.make_sandbox,
+                                trace_path=str(trace))
     assert_equal_and_fast(untraced, traced)
     assert untraced[1] == w.expected_stdout
+    got = {"stats": sha256(traced[0].encode()), "stdout": sha256(traced[1]),
+           "trace": sha256(trace.read_bytes())}
+    assert got == load_golden("benchmarks.json")[name]
     if name == "memwalk":
         # the larger-than-L2 pass evicts the status line from its L2 slice,
         # and that recall is what wakes the sleeping host
