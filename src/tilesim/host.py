@@ -80,18 +80,33 @@ class HostAgent:
     def _store(self, addr: int, width: int, value: int):
         self._charge(self.port.store(addr, width, value))
 
-    def read_guest_bytes(self, addr: int, count: int) -> bytes:
-        """Coherent byte-wise read of guest memory (for syscall payloads)."""
-        out = bytearray()
-        for i in range(count):
-            value, lat = self.port.load(addr + i, 1)
-            self._charge(lat)
+    def _copy(self, addr: int, count: int, data: bytes | None = None) -> bytes:
+        """Load `count` bytes from addr, or store `data` there, as one-byte
+        accesses: each run of them up to a line's end or the window's top makes
+        one port access, which may miss or fault, and one `byte_hits` call."""
+        fabric, out, i = self.machine.fabric, bytearray(), 0
+        top = sum(fabric.window)
+        while i < count:
+            at = addr + i
+            n = min(count - i, fabric.line_size - at % fabric.line_size, max(top - at, 1))
+            value, lat = (self.port.load(at, 1) if data is None
+                          else (data[i], self.port.store(at, 1, data[i])))
             out.append(value)
+            if n > 1:
+                more, hits = fabric.byte_hits(self.tile, at + 1, n - 1, self.time + lat,
+                                              data and data[i + 1 : i + n])
+                out += more
+                lat += hits
+            self._charge(lat)
+            i += n
         return bytes(out)
 
+    def read_guest_bytes(self, addr: int, count: int) -> bytes:
+        """Coherent read of guest memory (for syscall payloads)."""
+        return self._copy(addr, count)
+
     def write_guest_bytes(self, addr: int, data: bytes):
-        for i, b in enumerate(data):
-            self._store(addr + i, 1, b)
+        self._copy(addr, len(data), data)
 
     # -- the spec'd operations ------------------------------------------------------
 

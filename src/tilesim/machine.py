@@ -62,7 +62,7 @@ class CoreAgent:
     def advance(self):
         result = self.core.step()
         self.time += result.cycles
-        if self.core.run_state is not RunState.RUNNING:  # halted by a trap
+        if result.trap is not None:  # the trap halted the core
             self.machine.trap = self.core.halt_reason
             self.machine.finished = True
 
@@ -109,20 +109,20 @@ class Machine:
         self.finished = True
         self.exit_status = status
 
-    def _status_watch(self, _addr, data, tx):
+    def _status_watch(self, _addr, data, _origin, now):
         value = int.from_bytes(data, "little")
         if value == STATUS_REQUESTED:
-            self._syscall_started = tx.issue_cycle
+            self._syscall_started = now
             self.syscall_count += 1
         elif value == STATUS_EMPTY and self._syscall_started is not None:
-            self.syscall_roundtrip_cycles += tx.issue_cycle - self._syscall_started
+            self.syscall_roundtrip_cycles += now - self._syscall_started
             self._syscall_started = None
 
     def watch_tohost(self, addr: int):
         host_tile = self.config.host_tile()
 
-        def cb(_addr, data, tx):
-            if tx.origin == host_tile:
+        def cb(_addr, data, origin, _now):
+            if origin == host_tile:
                 return  # the loader writing the image, not the guest reporting
             self.tohost_value = int.from_bytes(data, "little")
             self.finished = True
@@ -133,7 +133,7 @@ class Machine:
 
     def run(self) -> RunStats:
         limit = self.config.sim_cycle_limit
-        host, guest = self.host, self.guest
+        host, guest, invalid = self.host, self.guest, LineState.INVALID
         tie = int(host.tile > guest.tile)  # a poll at t goes first iff (t, host) < (g, guest)
         try:
             host.boot()
@@ -149,7 +149,7 @@ class Machine:
                     line = host.status_line()
                     while (g := guest.time) <= limit:
                         guest.advance()
-                        if self.finished or line.state is LineState.INVALID:
+                        if self.finished or line.state is invalid:
                             break  # the run ended, or the guest took the host's copy
                     if host.time <= g - tie:
                         host.skip_idle_polls(line, until=g - tie)

@@ -26,10 +26,12 @@ and traces it and carries nothing, and then calls the handler at the far end:
                 upgrades its own Shared copy; the chain returns the line, so
                 `access` looks it up once per miss
 
-Hits change no coherence state. The single-writer and directory invariants
-are checked after each miss, for the requested line and for every line it
-evicts from an L1.5 or an L2 slice. Handlers pass a line's own bytearray, and
-the level that receives it makes the one copy of each move.
+A hit changes no coherence state and builds nothing: it returns the outcome
+the fabric built at start (a miss builds its own, for DRAM jitter), and
+`byte_hits` charges a run of one-byte hits on one line in a single call. The
+single-writer and directory invariants are checked after each miss, for the
+requested line and every line it evicts from an L1.5 or an L2 slice. Handlers
+pass a line's own bytearray; the level that receives it makes the one copy.
 
 Latency charged to the requester is classified by who serviced the line:
 
@@ -76,16 +78,10 @@ _L15_KEYS = tuple(f"{side}_{event}" for side in ("ifetch", "data")
 _L2_KEYS = ("lookups", "hits", "misses")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MemoryTransaction:
-    origin: int
-    issue_cycle: int
-    complete_cycle: int
     serviced_by: str
-
-    @property
-    def latency(self) -> int:
-        return self.complete_cycle - self.issue_cycle
+    latency: int
 
 
 class FabricPort:
@@ -110,18 +106,18 @@ class FabricPort:
             raise MemoryFault(addr, "outside the registered shared window")
 
     def fetch(self, addr: int) -> tuple[int, int]:
-        data, tx = self.fabric.access(self.tile, KIND_IFETCH, addr, 4, now=self.now_fn())
+        data, tx = self.fabric.access(self.tile, KIND_IFETCH, addr, 4, None, self.now_fn())
         return int.from_bytes(data, "little"), tx.latency
 
     def load(self, addr: int, width: int) -> tuple[int, int]:
         self._check_window(addr, width)
-        data, tx = self.fabric.access(self.tile, KIND_LOAD, addr, width, now=self.now_fn())
+        data, tx = self.fabric.access(self.tile, KIND_LOAD, addr, width, None, self.now_fn())
         return int.from_bytes(data, "little"), tx.latency
 
     def store(self, addr: int, width: int, value: int) -> int:
         self._check_window(addr, width)
         _, tx = self.fabric.access(self.tile, KIND_STORE, addr, width,
-                                   data=value.to_bytes(width, "little"), now=self.now_fn())
+                                   value.to_bytes(width, "little"), self.now_fn())
         return tx.latency
 
 
@@ -132,7 +128,9 @@ class MemoryFabric:
         self.trace = trace
         geo = config.cache
         self.line_size = geo.line_size_bytes
+        self.line_mask = ~(self.line_size - 1)
         self.n_tiles = len(config.tiles)
+        self.dram_size = config.dram_size
         self.dram = bytearray(config.dram_size)
         self.l15 = [CacheArray(geo.l15_size_bytes, geo.l15_associativity, self.line_size)
                     for _ in range(self.n_tiles)]
@@ -146,6 +144,7 @@ class MemoryFabric:
         self.l2_counts = [[0] * len(_L2_KEYS) for _ in range(self.n_tiles)]
         self.dram_reads = 0
         self.dram_writes = 0
+        self.hit = MemoryTransaction(SERVICED_L15, config.timing.l15_hit_cycles)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -167,7 +166,7 @@ class MemoryFabric:
     def register_window(self, base: int, size: int):
         if size <= 0:
             raise SimError("zero-length shared window rejected")
-        if base < 0 or base + size > len(self.dram):
+        if base < 0 or base + size > self.dram_size:
             raise MemoryFault(base, "window outside the physical map")
         self.window = (base, size)
 
@@ -182,7 +181,7 @@ class MemoryFabric:
 
     def dram_read(self, line_addr: int) -> tuple[bytearray, int]:
         """A copy of one line, and its latency: the access time +/- jitter."""
-        if line_addr + self.line_size > len(self.dram):
+        if line_addr + self.line_size > self.dram_size:
             raise MemoryFault(line_addr, "beyond the physical map")
         timing = self.config.timing
         jitter = timing.dram_jitter_cycles
@@ -202,63 +201,82 @@ class MemoryFabric:
         fabric; FabricPort checks that once, when the port is built."""
         if addr % width:
             raise SimError(f"fabric access must be width-aligned (0x{addr:x}/{width})")
-        if addr + width > len(self.dram):
+        if addr + width > self.dram_size:
             raise MemoryFault(addr)
-        line_addr = addr & ~(self.line_size - 1)
-        offset = addr - line_addr
-        if offset + width > self.line_size:
-            raise SimError("access straddles a line")  # impossible for aligned width<=4
+        line_addr = addr & self.line_mask  # an aligned access of 4 bytes or fewer stays in it
 
         counts = self.l15_counts[tile]
         side = 0 if kind == KIND_IFETCH else 3  # the slot of the side's accesses
         counts[side] += 1
         cache = self.l15[tile]
-        line = cache.lookup(line_addr)
+        line = cache._index.get(line_addr)
         if line is not None and (kind != KIND_STORE or line.state is LineState.MODIFIED):
             counts[side + 1] += 1
-            cache.touch(line)
-            serviced, latency = SERVICED_L15, self.config.timing.l15_hit_cycles
+            cache.sets[(line_addr // self.line_size) % cache.n_sets].move_to_end(line_addr)
+            tx = self.hit
         else:
             counts[side + 2] += 1
             op = "GetModified" if kind == KIND_STORE else "GetShared"
             line, serviced, latency = self._transact(tile, line, line_addr, op, now)
+            tx = MemoryTransaction(serviced, latency)
 
-        if kind == KIND_STORE:
+        at = addr - line_addr
+        if data is None:
+            out = bytes(line.data[at : at + width])
+            if self.shadow is not None and out != self.shadow[addr : addr + width]:
+                raise SimError(f"data-value check failed at 0x{addr:08x}: read {out.hex()}"
+                               f" expected {self.shadow[addr:addr + width].hex()}")
+        else:
             if line.state is not LineState.MODIFIED:
                 raise ProtocolError(f"store granted on non-M line 0x{line_addr:08x}")
-            line.data[offset : offset + width] = data
+            line.data[at : at + width] = data
             if self.shadow is not None:
                 self.shadow[addr : addr + width] = data
             out = bytes(data)
-        else:
-            out = bytes(line.data[offset : offset + width])
-            if self.shadow is not None and out != self.shadow[addr : addr + width]:
-                raise SimError(
-                    f"data-value check failed at 0x{addr:08x}: "
-                    f"read {out.hex()} expected {self.shadow[addr:addr + width].hex()}"
-                )
-
-        tx = MemoryTransaction(tile, now, now + latency, serviced)
         if self.trace:
-            self.trace(
-                f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={width}"
-                f" value=0x{out.hex()} serviced={serviced} latency={latency}"
-            )
+            self.trace(f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={width}"
+                       f" value=0x{out.hex()} serviced={tx.serviced_by} latency={tx.latency}")
         if kind == KIND_STORE and addr in self.watches:
             for cb in self.watches[addr]:
-                cb(addr, out, tx)
+                cb(addr, out, tile, now)
         return out, tx
+
+    def _count_data_hits(self, tile: int, n: int):
+        self.l15_counts[tile][3] += n  # data_accesses
+        self.l15_counts[tile][4] += n  # data_hits
 
     def repeat_load_hits(self, tile: int, line: CacheLine, n: int):
         """Count n data loads by `tile`, each a hit on `line` with no other access
-        to that cache between them; one touch orders the ways as n would. A line
-        that has since been removed (the event that ends the host's sleep) is
-        not touched: it is gone, and a touch would not reorder the others."""
-        counts = self.l15_counts[tile]
-        counts[3] += n  # data_accesses
-        counts[4] += n  # data_hits
+        between; one touch orders the ways as n would, unless the line is gone."""
+        self._count_data_hits(tile, n)
         if line.state is not LineState.INVALID:
             self.l15[tile].touch(line)
+
+    def byte_hits(self, tile: int, addr: int, n: int, now: int,
+                  data: bytes | None = None) -> tuple[bytes, int]:
+        """n one-byte loads, or stores of `data`, by `tile` at addr, addr+1, ...
+        in the line it has just accessed and so holds as its most recent: each
+        a hit, the first at cycle `now`. Returns the bytes and their latency."""
+        line = self.l15[tile]._index[addr & self.line_mask]
+        at, hit = addr - line.addr, self.hit.latency
+        self._count_data_hits(tile, n)
+        if data is None:
+            kind, out = KIND_LOAD, bytes(line.data[at : at + n])
+            if self.shadow is not None and out != self.shadow[addr : addr + n]:
+                raise SimError(f"data-value check failed at 0x{addr:08x}: read {out.hex()}"
+                               f" expected {self.shadow[addr:addr + n].hex()}")
+        else:
+            kind, out = KIND_STORE, bytes(data)
+            line.data[at : at + n] = out
+            if self.shadow is not None:
+                self.shadow[addr : addr + n] = out
+        for i, byte in enumerate(out if self.trace else b""):
+            self.trace(f"MEM cycle={now + i * hit} tile={tile} kind={kind} addr=0x{addr + i:08x}"
+                       f" width=1 value=0x{byte:02x} serviced={SERVICED_L15} latency={hit}")
+        for at in sorted(w - addr for w in self.watches if addr <= w < addr + n) if data else ():
+            for cb in self.watches[addr + at]:
+                cb(addr + at, out[at : at + 1], tile, now + at * hit)
+        return out, n * hit
 
     # -- transaction driver ------------------------------------------------------
 

@@ -4,7 +4,8 @@ rv32ui suite and the benchmark's memwalk and sysio guests.
 
 The machine runs as usual. Wrappers on the instance (as test_golden.py puts
 them) mirror every host-tile store into the stepper's memory as it happens
-(the loader, mailbox results, syscall payloads) and, after each guest step,
+(the loader, mailbox results, syscall payloads, whose bytes after the first
+of each line are stored by `byte_hits`) and, after each guest step,
 step the stepper once and compare pc, the 32 registers and instret. A step
 the core traps on must be one the stepper traps on too.
 """
@@ -29,12 +30,18 @@ def lockstep(machine) -> cosim.FlatCpu:
     core, fabric = machine.guest.core, machine.fabric
     ref = cosim.FlatCpu(len(fabric.dram), machine.config.reset_vector)
     host = machine.config.host_tile()
-    access, step = fabric.access, core.step
+    access, byte_hits, step = fabric.access, fabric.byte_hits, core.step
 
     def mirrored_access(tile, kind, addr, width, data=None, now=0):
         result = access(tile, kind, addr, width, data, now)
         if tile == host and kind == "store":
             ref.mem[addr : addr + width] = data
+        return result
+
+    def mirrored_byte_hits(tile, addr, n, now, data=None):
+        result = byte_hits(tile, addr, n, now, data)
+        if tile == host and data is not None:
+            ref.mem[addr : addr + n] = data
         return result
 
     def lockstep_step():
@@ -52,6 +59,7 @@ def lockstep(machine) -> cosim.FlatCpu:
         return result
 
     fabric.access = mirrored_access
+    fabric.byte_hits = mirrored_byte_hits
     core.step = lockstep_step
     return ref
 

@@ -358,6 +358,17 @@ def test_timing_closure_classification():
     assert tx.latency == fabric.config.timing.l15_to_l2_cycles
 
 
+def test_every_hit_returns_the_one_outcome_built_with_the_fabric():
+    """A hit allocates no outcome; a miss builds its own, since DRAM jitter
+    varies its latency."""
+    fabric = make_fabric(jitter=1)
+    _, first = fabric.access(1, "load", 0x9000, 4)
+    hits = [fabric.access(1, kind, 0x9000, 4)[1] for kind in ("load", "ifetch", "load")]
+    assert all(tx is fabric.hit for tx in hits)
+    assert first is not fabric.hit and first.serviced_by == SERVICED_DRAM
+    assert fabric.hit.latency == fabric.config.timing.l15_hit_cycles
+
+
 def test_port_rejects_tile_outside_fabric():
     fabric = make_fabric()
     for tile in (fabric.n_tiles, -1):

@@ -7,7 +7,7 @@ import pytest
 
 from tilesim import corpus
 from tilesim.asm import assemble
-from tilesim.config import MachineConfig
+from tilesim.config import CacheGeometry, MachineConfig
 from tilesim.elf import program_to_elf
 from tilesim.errors import ConfigError, LoadError, MemoryFault, ProtocolError
 from tilesim.host import GuestImage, GuestRegion
@@ -163,6 +163,91 @@ def test_status_line_is_cached_after_a_poll_and_never_requested():
     host.port.load(status, 4)
     with pytest.raises(ProtocolError):
         host.status_line()  # a poll would find this request
+
+
+# -- syscall copies --------------------------------------------------------------------
+
+
+def bytewise_read(host, addr: int, count: int) -> bytes:
+    """The reference copy: one port load per byte, each charged as it goes."""
+    out = bytearray()
+    for i in range(count):
+        value, lat = host.port.load(addr + i, 1)
+        host.time += lat
+        out.append(value)
+    return bytes(out)
+
+
+def bytewise_write(host, addr: int, data: bytes):
+    for i, b in enumerate(data):
+        host.time += host.port.store(addr + i, 1, b)
+
+
+def copy_across_lines(m, read, write):
+    base = m.config.guest_base
+    write(base + 0x1005, bytes(range(1, 41)))  # cold lines: each first byte misses
+    return read(base + 0x1003, 44)
+
+
+def copy_over_guest_modified_lines(m, read, write):
+    base = m.config.guest_base
+    m.guest.port.store(base + 0x2000, 4, 0xA1B2C3D4)
+    m.guest.port.store(base + 0x3010, 4, 0x01020304)
+    got = read(base + 0x2000, 20)  # the first byte recalls the line with a Downgrade
+    write(base + 0x300E, b"\xee" * 20)  # and with an Invalidate
+    return got + read(base + 0x300C, 24)
+
+
+def store_run_over_watches(m, read, write):
+    base, seen = m.config.guest_base, []
+    for addr in (base + 0x4004, base + 0x4006, base + 0x4011):
+        m.fabric.watch(addr, lambda *args: seen.append(args))
+    write(base + 0x4004, bytes(range(0x30, 0x44)))  # a run's first byte, then two inside
+    return seen
+
+
+def read_past_window_top(m, read, write):
+    top = m.config.region.top
+    assert top % m.config.cache.line_size_bytes  # the window ends inside a line
+    with pytest.raises(MemoryFault):
+        read(top - 100, 200)
+
+
+COPY_LINE_SIZES = {read_past_window_top: 128}
+
+
+@pytest.mark.parametrize("scenario", [copy_across_lines, copy_over_guest_modified_lines,
+                                      store_run_over_watches, read_past_window_top],
+                         ids=lambda f: f.__name__)
+def test_syscall_copy_equals_a_bytewise_copy(scenario):
+    """A copy that charges each line's later bytes in one call leaves the
+    bytes, the host's clock, every counter, every set's lines in LRU order,
+    the watch callbacks and the trace exactly as one port access per byte."""
+    line_size = COPY_LINE_SIZES.get(scenario, 16)
+    outcomes = []
+    for copy in ("runs", "bytewise"):
+        cfg = MachineConfig(cache=CacheGeometry(line_size_bytes=line_size),
+                            guest_region_size=(256 << 10) + 64, dram_size=2 << 20,
+                            stack_size=16 << 10)
+        cfg.validate()
+        m = Machine(cfg)
+        m.host.pico_setup()
+        lines = []
+        m.fabric.trace = m.noc.trace = lines.append
+        host = m.host
+        if copy == "runs":
+            result = scenario(m, host.read_guest_bytes, host.write_guest_bytes)
+        else:
+            result = scenario(m, lambda a, n: bytewise_read(host, a, n),
+                              lambda a, d: bytewise_write(host, a, d))
+        sets = [[(a, ln.state, bytes(ln.data), ln.holders) for a, ln in s.items()]
+                for cache in m.fabric.l15 + m.fabric.l2 for s in cache.sets]
+        outcomes.append((result, host.time, m.fabric.counts(), sets, lines,
+                         bytes(m.fabric.shadow), bytes(m.fabric.dram)))
+    runs, bytewise = outcomes
+    assert runs[4] == bytewise[4]  # the trace first: it names the first access that differs
+    assert runs == bytewise
+    assert len(runs[4]) > 20
 
 
 # -- syscall servicing ---------------------------------------------------------------

@@ -124,8 +124,8 @@ def test_state_machine_under_every_poll_cadence(interval):
     for offset in range(0, min(interval, 6)):
         fabric, guest, host = make_pair()
         transitions = []
-        fabric.watch(MB_BASE + mb.OFF_STATUS,
-                     lambda _a, data, _tx: transitions.append(int.from_bytes(data, "little")))
+        fabric.watch(MB_BASE + mb.OFF_STATUS, lambda _a, data, _origin, _now:
+                     transitions.append(int.from_bytes(data, "little")))
         ticks = offset
         for serial in range(3):
             guest.start(100 + serial, [serial])
