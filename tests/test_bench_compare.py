@@ -85,3 +85,33 @@ def test_host_loop_is_timed_before_every_run_and_its_median_kept_per_side(tool, 
 
 def test_host_loop_takes_measurable_time(tool):
     assert tool.host_loop_s() > 0.0
+
+
+def test_tier1_counts_read_pytest_summary_line(tool):
+    assert tool.tier1_counts("314 passed in 29.84s") == {"passed": 314, "tests": 314}
+    assert tool.tier1_counts("1 failed, 308 passed, 2 deselected in 40.12s") == {
+        "failed": 1, "passed": 308, "deselected": 2, "tests": 309}
+    assert tool.tier1_counts("") == {"tests": 0}
+
+
+def test_tier1_runs_alternate_and_keep_each_side_s_wall_time_and_counts(tool, monkeypatch):
+    events = []
+    loop_s = iter(range(1, 2 * tool.TIER1_PAIRS + 1))
+
+    def fake_loop():
+        events.append("loop")
+        return float(next(loop_s))
+
+    def fake_tier1(tree):
+        events.append(tree)
+        return {"wall_s": 40.0 if tree == "p" else 30.0, "passed": 309, "tests": 309}
+
+    monkeypatch.setattr(tool, "host_loop_s", fake_loop)
+    monkeypatch.setattr(tool, "run_tier1", fake_tier1)
+    result = tool.compare_tier1({"parent": "p", "change": "c"})
+
+    assert events == ["loop", "p", "loop", "c", "loop", "c", "loop", "p"][:4 * tool.TIER1_PAIRS]
+    assert result["host_loop_s"]["parent"]["samples"] == [1.0, 4.0][:tool.TIER1_PAIRS]
+    assert result["wall_s"]["parent"] == {"median": 40.0, "samples": [40.0] * tool.TIER1_PAIRS}
+    assert result["wall_s"]["change"]["median"] == 30.0
+    assert [r["tests"] for r in result["runs"]["change"]] == [309] * tool.TIER1_PAIRS

@@ -1,7 +1,7 @@
 """Compare the benchmark of a parent commit with the working tree.
 
     python3 tools/bench_compare.py --parent REV --out BENCH_<pr>.json \
-        [--seeds 0 1] [--workdir DIR]
+        [--seeds 0 1] [--workdir DIR] [--tier1]
 
 Run from anywhere inside a tilesim checkout. The parent is unpacked with
 `git archive REV | tar -x` into a fresh directory under --workdir, or under
@@ -21,6 +21,12 @@ The shared host's speed drifts. Before each run this process times a fixed
 pure-Python loop that shares no code with the simulator, and the file gives
 each side's median loop time per workload and seed: a side whose loop was
 slow ran on a slow host, not slow code. It is a recorded fact, not a gate.
+
+With --tier1 the file also records the tier-1 test suite (ROADMAP.md's
+command, run from each tree's root with that tree's `src` first on
+PYTHONPATH): TIER1_PAIRS pairs, alternating which side goes first, each run
+with its wall time and its count of tests by outcome, and the host loop
+timed before each. This is recorded, not gated.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import glob
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -40,6 +47,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 LOOP_ITERATIONS = 2_000_000
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_PAIRS = 2
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -145,12 +154,57 @@ def compare(trees: dict, workload: str, seed: int, seconds: float,
     }
 
 
+def tier1_counts(summary: str) -> dict:
+    """Tests by outcome from pytest's last line, as in "1 failed, 308 passed in
+    40.12s"; the total is under "tests"."""
+    counts = {kind: int(n) for n, kind in re.findall(
+        r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed|deselected)", summary)}
+    counts["tests"] = sum(n for kind, n in counts.items() if kind != "deselected")
+    return counts
+
+
+def run_tier1(tree: str) -> dict:
+    """Wall seconds and test counts of one tier-1 run in `tree`."""
+    paths = [os.path.join(tree, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                          text=True)
+    wall_s = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall_s, **tier1_counts(lines[-1] if lines else "")}
+
+
+def compare_tier1(trees: dict) -> dict:
+    runs = {"parent": [], "change": []}
+    loops = {"parent": [], "change": []}
+    for i in range(TIER1_PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in order:
+            loops[name].append(host_loop_s())
+            runs[name].append(run_tier1(trees[name]))
+        print(f"tier-1 pair {i + 1}/{TIER1_PAIRS}: " + ", ".join(
+            f"{name} {runs[name][-1]['wall_s']:.1f} s" for name in ("parent", "change")),
+            file=sys.stderr)
+    return {
+        "command": "PYTHONPATH=src python " + " ".join(TIER1),
+        "host_loop_s": {name: {"median": statistics.median(samples), "samples": samples}
+                        for name, samples in loops.items()},
+        "wall_s": {name: {"median": statistics.median(r["wall_s"] for r in side),
+                          "samples": [r["wall_s"] for r in side]}
+                   for name, side in runs.items()},
+        "runs": runs,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", required=True, help="the BENCH_<pr>.json to write")
     parser.add_argument("--seeds", nargs="+", type=int, default=[0])
     parser.add_argument("--workdir", help="where to unpack the parent (default: a temp dir)")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also time the tier-1 test suite on both sides")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -162,6 +216,7 @@ def main(argv=None) -> int:
         os.makedirs(workdir, exist_ok=True)
         trees = {"parent": unpack(args.parent, workdir), "change": ROOT}
         lines = {name: src_lines(tree) for name, tree in trees.items()}
+        tier1 = compare_tier1(trees) if args.tier1 else None
         results = [compare(trees, w["name"], seed, seconds, metrics)
                    for seed in args.seeds for w in bench["workloads"]]
     report = {
@@ -174,6 +229,8 @@ def main(argv=None) -> int:
         "src_lines": lines,
         "results": results,
     }
+    if tier1 is not None:
+        report["tier1"] = tier1
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
