@@ -203,7 +203,8 @@ class MemoryFabric:
             raise SimError(f"fabric access must be width-aligned (0x{addr:x}/{width})")
         if addr + width > self.dram_size:
             raise MemoryFault(addr)
-        line_addr = addr & self.line_mask  # an aligned access of 4 bytes or fewer stays in it
+        line_addr = addr & self.line_mask
+        offset = addr - line_addr  # an aligned access of 4 bytes or fewer stays in its line
 
         counts = self.l15_counts[tile]
         side = 0 if kind == KIND_IFETCH else 3  # the slot of the side's accesses
@@ -220,19 +221,18 @@ class MemoryFabric:
             line, serviced, latency = self._transact(tile, line, line_addr, op, now)
             tx = MemoryTransaction(serviced, latency)
 
-        at = addr - line_addr
-        if data is None:
-            out = bytes(line.data[at : at + width])
-            if self.shadow is not None and out != self.shadow[addr : addr + width]:
-                raise SimError(f"data-value check failed at 0x{addr:08x}: read {out.hex()}"
-                               f" expected {self.shadow[addr:addr + width].hex()}")
-        else:
+        if kind == KIND_STORE:
             if line.state is not LineState.MODIFIED:
                 raise ProtocolError(f"store granted on non-M line 0x{line_addr:08x}")
-            line.data[at : at + width] = data
+            line.data[offset : offset + width] = data
             if self.shadow is not None:
                 self.shadow[addr : addr + width] = data
             out = bytes(data)
+        else:
+            out = bytes(line.data[offset : offset + width])
+            if self.shadow is not None and out != self.shadow[addr : addr + width]:
+                raise SimError(f"data-value check failed at 0x{addr:08x}: read {out.hex()}"
+                               f" expected {self.shadow[addr:addr + width].hex()}")
         if self.trace:
             self.trace(f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={width}"
                        f" value=0x{out.hex()} serviced={tx.serviced_by} latency={tx.latency}")

@@ -213,17 +213,14 @@ def read_past_window_top(m, read, write):
         read(top - 100, 200)
 
 
-COPY_LINE_SIZES = {read_past_window_top: 128}
-
-
-@pytest.mark.parametrize("scenario", [copy_across_lines, copy_over_guest_modified_lines,
-                                      store_run_over_watches, read_past_window_top],
-                         ids=lambda f: f.__name__)
-def test_syscall_copy_equals_a_bytewise_copy(scenario):
+@pytest.mark.parametrize("scenario, line_size", [
+    (copy_across_lines, 16), (copy_over_guest_modified_lines, 16),
+    (store_run_over_watches, 16), (read_past_window_top, 128)],
+    ids=lambda v: getattr(v, "__name__", f"line{v}"))
+def test_syscall_copy_equals_a_bytewise_copy(scenario, line_size):
     """A copy that charges each line's later bytes in one call leaves the
     bytes, the host's clock, every counter, every set's lines in LRU order,
     the watch callbacks and the trace exactly as one port access per byte."""
-    line_size = COPY_LINE_SIZES.get(scenario, 16)
     outcomes = []
     for copy in ("runs", "bytewise"):
         cfg = MachineConfig(cache=CacheGeometry(line_size_bytes=line_size),
