@@ -1,7 +1,7 @@
 """Compare the benchmark of a parent commit with the working tree.
 
     python3 tools/bench_compare.py --parent REV --out BENCH_<pr>.json \
-        [--seeds 0 1] [--workdir DIR] [--tier1]
+        [--seeds 0 1] [--workdir DIR]
 
 Run from anywhere inside a tilesim checkout. The parent is unpacked with
 `git archive REV | tar -x` into a fresh directory under --workdir, or under
@@ -22,11 +22,11 @@ pure-Python loop that shares no code with the simulator, and the file gives
 each side's median loop time per workload and seed: a side whose loop was
 slow ran on a slow host, not slow code. It is a recorded fact, not a gate.
 
-With --tier1 the file also records the tier-1 test suite (ROADMAP.md's
-command, run from each tree's root with that tree's `src` first on
-PYTHONPATH): TIER1_PAIRS pairs, alternating which side goes first, each run
-with its wall time and its count of tests by outcome, and the host loop
-timed before each. This is recorded, not gated.
+The file also records the tier-1 test suite (ROADMAP.md's command, run
+from each tree's root with that tree's `src` first on PYTHONPATH):
+TIER1_PAIRS pairs, alternating which side goes first, each run with its wall
+time and its count of tests by outcome, and the host loop timed before each.
+This is recorded, not gated.
 """
 
 from __future__ import annotations
@@ -203,8 +203,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH_<pr>.json to write")
     parser.add_argument("--seeds", nargs="+", type=int, default=[0])
     parser.add_argument("--workdir", help="where to unpack the parent (default: a temp dir)")
-    parser.add_argument("--tier1", action="store_true",
-                        help="also time the tier-1 test suite on both sides")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -216,7 +214,7 @@ def main(argv=None) -> int:
         os.makedirs(workdir, exist_ok=True)
         trees = {"parent": unpack(args.parent, workdir), "change": ROOT}
         lines = {name: src_lines(tree) for name, tree in trees.items()}
-        tier1 = compare_tier1(trees) if args.tier1 else None
+        tier1 = compare_tier1(trees)
         results = [compare(trees, w["name"], seed, seconds, metrics)
                    for seed in args.seeds for w in bench["workloads"]]
     report = {
@@ -228,9 +226,8 @@ def main(argv=None) -> int:
         "host": host_facts(),
         "src_lines": lines,
         "results": results,
+        "tier1": tier1,
     }
-    if tier1 is not None:
-        report["tier1"] = tier1
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
