@@ -62,7 +62,7 @@ class CoreAgent:
     def advance(self):
         result = self.core.step()
         self.time += result.cycles
-        if result.trap is not None:  # the trap halted the core
+        if self.core.run_state is not RunState.RUNNING:  # halted by a trap
             self.machine.trap = self.core.halt_reason
             self.machine.finished = True
 
@@ -133,7 +133,7 @@ class Machine:
 
     def run(self) -> RunStats:
         limit = self.config.sim_cycle_limit
-        host, guest, invalid = self.host, self.guest, LineState.INVALID
+        host, guest = self.host, self.guest
         tie = int(host.tile > guest.tile)  # a poll at t goes first iff (t, host) < (g, guest)
         try:
             host.boot()
@@ -149,7 +149,7 @@ class Machine:
                     line = host.status_line()
                     while (g := guest.time) <= limit:
                         guest.advance()
-                        if self.finished or line.state is invalid:
+                        if self.finished or line.state is LineState.INVALID:
                             break  # the run ended, or the guest took the host's copy
                     if host.time <= g - tie:
                         host.skip_idle_polls(line, until=g - tie)

@@ -24,7 +24,7 @@ and traces it and carries nothing, and then calls the handler at the far end:
     install     the requester's cache installs the line, first writing back
                 a Modified victim to that victim's home (`_writeback`), or
                 upgrades its own Shared copy; the chain returns the line, so
-                `access` looks it up once per miss
+                `access` does not look it up again after a miss
 
 A hit changes no coherence state and builds nothing: it returns the outcome
 the fabric built at start (a miss builds its own, for DRAM jitter), and
@@ -130,7 +130,6 @@ class MemoryFabric:
         self.line_size = geo.line_size_bytes
         self.line_mask = ~(self.line_size - 1)
         self.n_tiles = len(config.tiles)
-        self.dram_size = config.dram_size
         self.dram = bytearray(config.dram_size)
         self.l15 = [CacheArray(geo.l15_size_bytes, geo.l15_associativity, self.line_size)
                     for _ in range(self.n_tiles)]
@@ -166,7 +165,7 @@ class MemoryFabric:
     def register_window(self, base: int, size: int):
         if size <= 0:
             raise SimError("zero-length shared window rejected")
-        if base < 0 or base + size > self.dram_size:
+        if base < 0 or base + size > len(self.dram):
             raise MemoryFault(base, "window outside the physical map")
         self.window = (base, size)
 
@@ -181,7 +180,7 @@ class MemoryFabric:
 
     def dram_read(self, line_addr: int) -> tuple[bytearray, int]:
         """A copy of one line, and its latency: the access time +/- jitter."""
-        if line_addr + self.line_size > self.dram_size:
+        if line_addr + self.line_size > len(self.dram):
             raise MemoryFault(line_addr, "beyond the physical map")
         timing = self.config.timing
         jitter = timing.dram_jitter_cycles
@@ -201,7 +200,7 @@ class MemoryFabric:
         fabric; FabricPort checks that once, when the port is built."""
         if addr % width:
             raise SimError(f"fabric access must be width-aligned (0x{addr:x}/{width})")
-        if addr + width > self.dram_size:
+        if addr + width > len(self.dram):
             raise MemoryFault(addr)
         line_addr = addr & self.line_mask
         offset = addr - line_addr  # an aligned access of 4 bytes or fewer stays in its line
@@ -209,16 +208,15 @@ class MemoryFabric:
         counts = self.l15_counts[tile]
         side = 0 if kind == KIND_IFETCH else 3  # the slot of the side's accesses
         counts[side] += 1
-        cache = self.l15[tile]
-        line = cache._index.get(line_addr)
-        if line is not None and (kind != KIND_STORE or line.state is LineState.MODIFIED):
+        line = self.l15[tile].hit(line_addr, kind == KIND_STORE)
+        if line is not None:
             counts[side + 1] += 1
-            cache.sets[(line_addr // self.line_size) % cache.n_sets].move_to_end(line_addr)
             tx = self.hit
         else:
             counts[side + 2] += 1
             op = "GetModified" if kind == KIND_STORE else "GetShared"
-            line, serviced, latency = self._transact(tile, line, line_addr, op, now)
+            line, serviced, latency = self._transact(
+                tile, self.l15[tile].lookup(line_addr), line_addr, op, now)
             tx = MemoryTransaction(serviced, latency)
 
         if kind == KIND_STORE:
@@ -257,7 +255,7 @@ class MemoryFabric:
         """n one-byte loads, or stores of `data`, by `tile` at addr, addr+1, ...
         in the line it has just accessed and so holds as its most recent: each
         a hit, the first at cycle `now`. Returns the bytes and their latency."""
-        line = self.l15[tile]._index[addr & self.line_mask]
+        line = self.l15[tile].lookup(addr & self.line_mask)
         at, hit = addr - line.addr, self.hit.latency
         self._count_data_hits(tile, n)
         if data is None:
@@ -332,8 +330,7 @@ class MemoryFabric:
         return l2line.data, serviced, latency
 
     def _writeback(self, tile: int, line_addr: int, data: bytearray, now: int):
-        """`tile` writes its Modified copy back to the home, which takes the
-        line to Invalid."""
+        """`tile` writes its Modified copy back to the home, which takes the line to Invalid."""
         home = self.home_of(line_addr)
         self.noc.transfer("Writeback", tile, home, line_addr, now)
         l2line = self.l2[home].lookup(line_addr)
@@ -352,10 +349,8 @@ class MemoryFabric:
                 (owner,), shown = holders, "-"
             else:
                 owner, shown = "-", ",".join(str(t) for t in sorted(holders)) or "-"
-            self.trace(
-                f"DIR cycle={now} home={home} line=0x{l2line.addr:08x}"
-                f" state={state.value} owner={owner} sharers={{{shown}}}"
-            )
+            self.trace(f"DIR cycle={now} home={home} line=0x{l2line.addr:08x}"
+                       f" state={state.value} owner={owner} sharers={{{shown}}}")
 
     # -- cache side ------------------------------------------------------------------
 
@@ -366,9 +361,8 @@ class MemoryFabric:
         line = self.l15[tile].lookup(line_addr)
         if op == "Downgrade":
             if line is None or line.state is not LineState.MODIFIED:
-                raise ProtocolError(
-                    f"Downgrade to tile {tile} which does not own 0x{line_addr:08x}"
-                )
+                raise ProtocolError(f"Downgrade to tile {tile} which does not own"
+                                    f" 0x{line_addr:08x}")
             line.state = LineState.SHARED
             self.noc.transfer("DowngradeAck", tile, home, line_addr, now)
             return line.data
@@ -435,10 +429,8 @@ class MemoryFabric:
         valid = [(t, ln) for t, cache in enumerate(self.l15)
                  if (ln := cache.lookup(line_addr)) is not None]
         if len(valid) > 1 and any(ln.state is LineState.MODIFIED for _, ln in valid):
-            raise ProtocolError(
-                f"single-writer violated at 0x{line_addr:08x}: "
-                + ", ".join(f"tile{t}={ln.state.value}" for t, ln in valid)
-            )
+            raise ProtocolError(f"single-writer violated at 0x{line_addr:08x}: " + ", ".join(
+                f"tile{t}={ln.state.value}" for t, ln in valid))
         entry = self.l2[self.home_of(line_addr)].lookup(line_addr)
         for t, ln in valid:
             if entry is None:

@@ -71,3 +71,17 @@ def test_matches_reference_lru_under_install_touch_and_remove():
 
     assert all(line.state is LineState.INVALID for line in removed)
     assert min(counts.values()) > 100, counts
+
+
+def test_hit_serves_a_read_from_any_line_and_a_store_from_a_modified_one():
+    array = CacheArray(size_bytes=4 * LINE, associativity=4, line_size=LINE)  # one set
+    shared = array.install(0, bytearray(LINE), LineState.SHARED)
+    owned = array.install(LINE, bytearray(LINE), LineState.MODIFIED)
+    array.install(2 * LINE, bytearray(LINE), LineState.SHARED)
+    assert array.hit(3 * LINE, store=False) is None
+    assert array.hit(0, store=True) is None
+    assert list(array.sets[0]) == [0, LINE, 2 * LINE]  # a miss leaves the order
+    assert array.hit(0, store=False) is shared
+    assert list(array.sets[0]) == [LINE, 2 * LINE, 0]
+    assert array.hit(LINE, store=True) is owned
+    assert list(array.sets[0]) == [2 * LINE, 0, LINE]
