@@ -81,8 +81,7 @@ class HostAgent:
         self._charge(self.port.store(addr, width, value))
 
     def _copy(self, addr: int, count: int, data: bytes | None = None) -> bytes:
-        """Load `count` bytes at addr, or store `data` there, a byte at a time: a
-        run up to a line's end or the window's top is one port access, then `byte_hits`."""
+        """Load `count` bytes at addr, or store `data`: per line, a port access and `byte_hits`."""
         fabric, out, i = self.machine.fabric, bytearray(), 0
         top = sum(fabric.window)
         while i < count:

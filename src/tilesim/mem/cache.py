@@ -48,13 +48,12 @@ class CacheArray:
         return self._index.get(line_addr)
 
     def hit(self, line_addr: int, store: bool) -> CacheLine | None:
-        """The line at line_addr, made the most recent, if it serves a read, or
-        as Modified a store; else None, with the order unchanged."""
+        """The line at line_addr, made the most recent, if it serves a read or,
+        as Modified, a store; else None, with the order unchanged."""
         line = self._index.get(line_addr)
-        if line is None or (store and line.state is not LineState.MODIFIED):
-            return None
-        self.sets[(line_addr // self.line_size) % self.n_sets].move_to_end(line_addr)
-        return line
+        if line is not None and (not store or line.state is LineState.MODIFIED):
+            self.sets[(line_addr // self.line_size) % self.n_sets].move_to_end(line_addr)
+            return line
 
     def touch(self, line: CacheLine):
         self.sets[(line.addr // self.line_size) % self.n_sets].move_to_end(line.addr)

@@ -26,12 +26,11 @@ and traces it and carries nothing, and then calls the handler at the far end:
                 upgrades its own Shared copy; the chain returns the line, so
                 `access` does not look it up again after a miss
 
-A hit changes no coherence state and builds nothing: it returns the outcome
-the fabric built at start (a miss builds its own, for DRAM jitter), and
-`byte_hits` charges a run of one-byte hits on one line in a single call. The
-single-writer and directory invariants are checked after each miss, for the
-requested line and every line it evicts from an L1.5 or an L2 slice. Handlers
-pass a line's own bytearray; the level that receives it makes the one copy.
+Hits change no coherence state and build nothing: each returns the outcome
+built at start, and `byte_hits` charges a run of one-byte hits in one call.
+The single-writer and directory invariants are checked after each miss, for
+the requested line and for every line it evicts from an L1.5 or an L2 slice.
+Handlers pass a line's own bytearray; the receiving level makes the one copy.
 
 Latency charged to the requester is classified by who serviced the line:
 
@@ -215,9 +214,7 @@ class MemoryFabric:
         else:
             counts[side + 2] += 1
             op = "GetModified" if kind == KIND_STORE else "GetShared"
-            line, serviced, latency = self._transact(
-                tile, self.l15[tile].lookup(line_addr), line_addr, op, now)
-            tx = MemoryTransaction(serviced, latency)
+            line, tx = self._transact(tile, self.l15[tile].lookup(line_addr), line_addr, op, now)
 
         if kind == KIND_STORE:
             if line.state is not LineState.MODIFIED:
@@ -279,10 +276,10 @@ class MemoryFabric:
     # -- transaction driver ------------------------------------------------------
 
     def _transact(self, tile: int, line: CacheLine | None, line_addr: int, op: str,
-                  now: int) -> tuple[CacheLine, str, int]:
+                  now: int) -> tuple[CacheLine, MemoryTransaction]:
         """Run one miss: request, recalls, data reply, install. `line` is the
         tile's Shared copy that a GetModified upgrades, or None. Returns the
-        tile's line, the level that serviced it and the latency charged."""
+        tile's line and the miss's outcome: who serviced it, at what latency."""
         home = self.home_of(line_addr)
         self.noc.transfer(op, tile, home, line_addr, now)
         data, serviced, latency = self.directory_handle(home, op, tile, line_addr, now)
@@ -294,7 +291,7 @@ class MemoryFabric:
             state = LineState.SHARED if op == "GetShared" else LineState.MODIFIED
             line = self._install_l15(tile, line_addr, data, state, now)
         self._check_line_invariants(line_addr)
-        return line, serviced, latency
+        return line, MemoryTransaction(serviced, latency)
 
     # -- directory side ------------------------------------------------------------
 
@@ -330,7 +327,8 @@ class MemoryFabric:
         return l2line.data, serviced, latency
 
     def _writeback(self, tile: int, line_addr: int, data: bytearray, now: int):
-        """`tile` writes its Modified copy back to the home, which takes the line to Invalid."""
+        """`tile` writes its Modified copy back to the home, which takes the
+        line to Invalid."""
         home = self.home_of(line_addr)
         self.noc.transfer("Writeback", tile, home, line_addr, now)
         l2line = self.l2[home].lookup(line_addr)
@@ -349,8 +347,10 @@ class MemoryFabric:
                 (owner,), shown = holders, "-"
             else:
                 owner, shown = "-", ",".join(str(t) for t in sorted(holders)) or "-"
-            self.trace(f"DIR cycle={now} home={home} line=0x{l2line.addr:08x}"
-                       f" state={state.value} owner={owner} sharers={{{shown}}}")
+            self.trace(
+                f"DIR cycle={now} home={home} line=0x{l2line.addr:08x}"
+                f" state={state.value} owner={owner} sharers={{{shown}}}"
+            )
 
     # -- cache side ------------------------------------------------------------------
 
@@ -361,8 +361,9 @@ class MemoryFabric:
         line = self.l15[tile].lookup(line_addr)
         if op == "Downgrade":
             if line is None or line.state is not LineState.MODIFIED:
-                raise ProtocolError(f"Downgrade to tile {tile} which does not own"
-                                    f" 0x{line_addr:08x}")
+                raise ProtocolError(
+                    f"Downgrade to tile {tile} which does not own 0x{line_addr:08x}"
+                )
             line.state = LineState.SHARED
             self.noc.transfer("DowngradeAck", tile, home, line_addr, now)
             return line.data
@@ -396,10 +397,9 @@ class MemoryFabric:
         slice_ = self.l2[home]
         counts = self.l2_counts[home]
         counts[0] += 1
-        l2line = slice_.lookup(line_addr)
+        l2line = slice_.hit(line_addr, False)
         if l2line is not None:
             counts[1] += 1
-            slice_.touch(l2line)
             return l2line, SERVICED_L2, self.config.timing.l15_to_l2_cycles
         counts[2] += 1
         data, latency = self.dram_read(line_addr)
@@ -429,8 +429,10 @@ class MemoryFabric:
         valid = [(t, ln) for t, cache in enumerate(self.l15)
                  if (ln := cache.lookup(line_addr)) is not None]
         if len(valid) > 1 and any(ln.state is LineState.MODIFIED for _, ln in valid):
-            raise ProtocolError(f"single-writer violated at 0x{line_addr:08x}: " + ", ".join(
-                f"tile{t}={ln.state.value}" for t, ln in valid))
+            raise ProtocolError(
+                f"single-writer violated at 0x{line_addr:08x}: "
+                + ", ".join(f"tile{t}={ln.state.value}" for t, ln in valid)
+            )
         entry = self.l2[self.home_of(line_addr)].lookup(line_addr)
         for t, ln in valid:
             if entry is None:
