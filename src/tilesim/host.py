@@ -77,9 +77,6 @@ class HostAgent:
     def _charge(self, latency: int):
         self.time += latency
 
-    def _store(self, addr: int, width: int, value: int):
-        self._charge(self.port.store(addr, width, value))
-
     def _copy(self, addr: int, count: int, data: bytes | None = None) -> bytes:
         """Load `count` bytes at addr, or store `data`: per line, a port access and `byte_hits`."""
         fabric, out, i = self.machine.fabric, bytearray(), 0
@@ -130,12 +127,10 @@ class HostAgent:
             addr, data = seg.vaddr, seg.data
             i = 0
             while i < len(data):  # aligned words, single bytes at the ends
-                if (addr + i) % 4 == 0 and i + 4 <= len(data):
-                    self._store(addr + i, 4, int.from_bytes(data[i : i + 4], "little"))
-                    i += 4
-                else:
-                    self._store(addr + i, 1, data[i])
-                    i += 1
+                width = 4 if (addr + i) % 4 == 0 and i + 4 <= len(data) else 1
+                value = int.from_bytes(data[i : i + width], "little")
+                self._charge(self.port.store(addr + i, width, value))
+                i += width
             # the memsz tail past filesz stays zero from setup's zero-fill
         self._trace(
             f"HOST cycle={self.time} step=2 loaded {len(image.elf.segments)} segment(s)"

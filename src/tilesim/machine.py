@@ -25,10 +25,10 @@ from .elf import parse_elf
 from .errors import LoadError, SimError
 from .host import HostAgent
 from .mailbox import OFF_STATUS, STATUS_EMPTY, STATUS_REQUESTED
-from .mem.cache import LineState
+from .mem.cache import INVALID
 from .mem.fabric import FabricPort, MemoryFabric
 from .noc import Noc
-from .rv32.core import RunState, Rv32Core
+from .rv32.core import HELD_IN_RESET, RUNNING, Rv32Core
 
 STATS_SCHEMA_VERSION = 1
 
@@ -55,14 +55,14 @@ class CoreAgent:
         self.time = 0
 
     def wake(self, at: int):
-        if self.core.run_state is RunState.HELD_IN_RESET:
+        if self.core.run_state is HELD_IN_RESET:
             self.time = at  # the clock starts when the core leaves reset
         self.core.deliver_start_interrupt()
 
     def advance(self):
         result = self.core.step()
         self.time += result.cycles
-        if self.core.run_state is not RunState.RUNNING:  # halted by a trap
+        if self.core.run_state is not RUNNING:  # halted by a trap
             self.machine.trap = self.core.halt_reason
             self.machine.finished = True
 
@@ -149,7 +149,7 @@ class Machine:
                     line = host.status_line()
                     while (g := guest.time) <= limit:
                         guest.advance()
-                        if self.finished or line.state is LineState.INVALID:
+                        if self.finished or line.state is INVALID:
                             break  # the run ended, or the guest took the host's copy
                     if host.time <= g - tie:
                         host.skip_idle_polls(line, until=g - tie)

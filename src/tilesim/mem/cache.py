@@ -24,6 +24,11 @@ class LineState(enum.Enum):
     MODIFIED = "M"
 
 
+# per-step code reads these names: Python 3.11 looks `LineState.X` up via the class
+INVALID, SHARED, MODIFIED = LineState
+
+
+
 @dataclass(slots=True)
 class CacheLine:
     addr: int  # line-aligned address
@@ -51,7 +56,7 @@ class CacheArray:
         """The line at line_addr, made the most recent, if it serves a read or,
         as Modified, a store; else None, with the order unchanged."""
         line = self._index.get(line_addr)
-        if line is not None and (not store or line.state is LineState.MODIFIED):
+        if line is not None and (not store or line.state is MODIFIED):
             self.sets[(line_addr // self.line_size) % self.n_sets].move_to_end(line_addr)
             return line
 
@@ -78,7 +83,7 @@ class CacheArray:
     def remove(self, line: CacheLine):
         del self._set(line.addr)[line.addr]
         del self._index[line.addr]
-        line.state = LineState.INVALID
+        line.state = INVALID
 
     def resident_lines(self):
         return self._index.values()

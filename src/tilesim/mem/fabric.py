@@ -23,11 +23,14 @@ and traces it and carries nothing, and then calls the handler at the far end:
                 DataModified and returns the line's data to the requester
     install     the requester's cache installs the line, first writing back
                 a Modified victim to that victim's home (`_writeback`), or
-                upgrades its own Shared copy; the chain returns the line, so
-                `access` does not look it up again after a miss
+                upgrades its own Shared copy; the chain returns the line
 
-Hits change no coherence state and build nothing: each returns the outcome
-built at start, and `byte_hits` charges a run of one-byte hits in one call.
+Hits are served at the port and change no coherence state: FabricPort probes
+its tile's L1.5 once, counts the hit, does the data work and takes the outcome
+built at start, `hit`; `byte_hits` charges a run of one-byte hits in one call.
+Only a miss reaches `access`, which counts it, runs the chain and returns the
+tile's line. It keeps the name `access` because the benchmark's layer spans
+wrap the fabric's entry points by name and split misses by serviced level.
 The single-writer and directory invariants are checked after each miss, for
 the requested line and for every line it evicts from an L1.5 or an L2 slice.
 Handlers pass a line's own bytearray; the receiving level makes the one copy.
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from ..config import MachineConfig
 from ..errors import ConfigError, MemoryFault, ProtocolError, SimError
 from ..noc import Noc
-from .cache import CacheArray, CacheLine, LineState
+from .cache import INVALID, MODIFIED, SHARED, CacheArray, CacheLine, LineState
 
 SERVICED_L15 = "L15"
 SERVICED_L2 = "L2"
@@ -87,36 +90,69 @@ class FabricPort:
     """Per-agent access port; values are little-endian compositions of the
     bytes at addr, addr+1, ... Host ports (enforce_windows) are confined to
     the registered shared window; the guest addresses physical memory freely.
-    A tile outside the fabric raises ConfigError when the port is built.
+    A tile outside the fabric raises ConfigError when the port is built. The
+    port serves its tile's L1.5 hits and hands each miss to `access`.
     """
 
     def __init__(self, fabric: MemoryFabric, tile: int, enforce_windows: bool = False):
         if not 0 <= tile < fabric.n_tiles:
-            raise ConfigError(
-                f"port tile {tile} is not on the fabric ({fabric.n_tiles} tiles)"
-            )
+            raise ConfigError(f"port tile {tile} is not on the fabric ({fabric.n_tiles} tiles)")
         self.fabric = fabric
         self.tile = tile
         self.enforce_windows = enforce_windows
-        self.now_fn = lambda: 0
+        self.now_fn = lambda: 0  # read only on a miss, a traced access or a watched store
+        self.l15, self.counts = fabric.l15[tile], fabric.l15_counts[tile]
 
-    def _check_window(self, addr: int, width: int):
+    def _check(self, addr: int, width: int):
         if self.enforce_windows and not self.fabric.in_window(addr, width):
             raise MemoryFault(addr, "outside the registered shared window")
-
-    def fetch(self, addr: int) -> tuple[int, int]:
-        data, tx = self.fabric.access(self.tile, KIND_IFETCH, addr, 4, None, self.now_fn())
-        return int.from_bytes(data, "little"), tx.latency
+        if addr % width:
+            raise SimError(f"fabric access must be width-aligned (0x{addr:x}/{width})")
 
     def load(self, addr: int, width: int) -> tuple[int, int]:
-        self._check_window(addr, width)
-        data, tx = self.fabric.access(self.tile, KIND_LOAD, addr, width, None, self.now_fn())
+        return self.fetch(addr, width, KIND_LOAD, 3)
+
+    def fetch(self, addr: int, width: int = 4, kind: str = KIND_IFETCH,
+              side: int = 0) -> tuple[int, int]:
+        """A fetch, and the read body `load` shares; `side` is its accesses' counter slot."""
+        if addr % width or self.enforce_windows:
+            self._check(addr, width)
+        fabric = self.fabric
+        line = self.l15.hit(addr & fabric.line_mask, False)
+        if line is None:
+            line, tx = fabric.access(self.tile, kind, addr, width, self.now_fn())
+        else:
+            self.counts[side] += 1
+            self.counts[side + 1] += 1
+            tx = fabric.hit
+        at = addr - line.addr
+        data = line.data[at : at + width]
+        if fabric.shadow is not None and data != fabric.shadow[addr : addr + width]:
+            fabric.data_check_failed(addr, data)
+        if fabric.trace:
+            fabric.trace_mem(self.now_fn(), self.tile, kind, addr, data, tx)
         return int.from_bytes(data, "little"), tx.latency
 
     def store(self, addr: int, width: int, value: int) -> int:
-        self._check_window(addr, width)
-        _, tx = self.fabric.access(self.tile, KIND_STORE, addr, width,
-                                   value.to_bytes(width, "little"), self.now_fn())
+        if addr % width or self.enforce_windows:
+            self._check(addr, width)
+        fabric = self.fabric
+        line = self.l15.hit(addr & fabric.line_mask, True)
+        if line is None:
+            line, tx = fabric.access(self.tile, KIND_STORE, addr, width, self.now_fn())
+        else:
+            self.counts[3] += 1  # data_accesses
+            self.counts[4] += 1  # data_hits
+            tx = fabric.hit
+        data = value.to_bytes(width, "little")
+        at = addr - line.addr
+        line.data[at : at + width] = data
+        if fabric.shadow is not None:
+            fabric.shadow[addr : addr + width] = data
+        if fabric.trace:
+            fabric.trace_mem(self.now_fn(), self.tile, KIND_STORE, addr, data, tx)
+        for cb in fabric.watches.get(addr, ()):
+            cb(addr, data, self.tile, self.now_fn())
         return tx.latency
 
 
@@ -191,60 +227,43 @@ class MemoryFabric:
         self.dram[line_addr : line_addr + self.line_size] = data
         self.dram_writes += 1
 
-    # -- the one entry point ---------------------------------------------------
+    # -- the miss path and the data side -----------------------------------------
 
     def access(self, tile: int, kind: str, addr: int, width: int,
-               data: bytes | None = None, now: int = 0) -> tuple[bytes, MemoryTransaction]:
-        """Perform one memory operation for `tile`. Callers pass a tile of this
-        fabric; FabricPort checks that once, when the port is built."""
-        if addr % width:
-            raise SimError(f"fabric access must be width-aligned (0x{addr:x}/{width})")
+               now: int = 0) -> tuple[CacheLine, MemoryTransaction]:
+        """Count and run a miss of `tile`'s L1.5 for FabricPort, which checks the access and
+        does the data work: returns the tile's line, now usable for `kind`, and the outcome."""
         if addr + width > len(self.dram):
             raise MemoryFault(addr)
         line_addr = addr & self.line_mask
-        offset = addr - line_addr  # an aligned access of 4 bytes or fewer stays in its line
-
-        counts = self.l15_counts[tile]
+        line = self.l15[tile].lookup(line_addr)
+        if line is not None and (kind != KIND_STORE or line.state is MODIFIED):
+            raise SimError(f"miss path entered for 0x{addr:08x}, which tile {tile} holds")
         side = 0 if kind == KIND_IFETCH else 3  # the slot of the side's accesses
-        counts[side] += 1
-        line = self.l15[tile].hit(line_addr, kind == KIND_STORE)
-        if line is not None:
-            counts[side + 1] += 1
-            tx = self.hit
-        else:
-            counts[side + 2] += 1
-            op = "GetModified" if kind == KIND_STORE else "GetShared"
-            line, tx = self._transact(tile, self.l15[tile].lookup(line_addr), line_addr, op, now)
+        self.l15_counts[tile][side] += 1
+        self.l15_counts[tile][side + 2] += 1  # misses
+        op = "GetModified" if kind == KIND_STORE else "GetShared"
+        line, tx = self._transact(tile, line, line_addr, op, now)
+        if kind == KIND_STORE and line.state is not MODIFIED:
+            raise ProtocolError(f"store granted on non-M line 0x{line_addr:08x}")
+        return line, tx
 
-        if kind == KIND_STORE:
-            if line.state is not LineState.MODIFIED:
-                raise ProtocolError(f"store granted on non-M line 0x{line_addr:08x}")
-            line.data[offset : offset + width] = data
-            if self.shadow is not None:
-                self.shadow[addr : addr + width] = data
-            out = bytes(data)
-        else:
-            out = bytes(line.data[offset : offset + width])
-            if self.shadow is not None and out != self.shadow[addr : addr + width]:
-                raise SimError(f"data-value check failed at 0x{addr:08x}: read {out.hex()}"
-                               f" expected {self.shadow[addr:addr + width].hex()}")
-        if self.trace:
-            self.trace(f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={width}"
-                       f" value=0x{out.hex()} serviced={tx.serviced_by} latency={tx.latency}")
-        if kind == KIND_STORE and addr in self.watches:
-            for cb in self.watches[addr]:
-                cb(addr, out, tile, now)
-        return out, tx
+    def data_check_failed(self, addr: int, data: bytes):
+        raise SimError(f"data-value check failed at 0x{addr:08x}: read {data.hex()}"
+                       f" expected {self.shadow[addr:addr + len(data)].hex()}")
 
-    def _count_data_hits(self, tile: int, n: int):
-        self.l15_counts[tile][3] += n  # data_accesses
-        self.l15_counts[tile][4] += n  # data_hits
+    def trace_mem(self, now: int, tile: int, kind: str, addr: int, data: bytes,
+                  tx: MemoryTransaction):
+        """The one `MEM` trace line: an access of len(data) bytes and its outcome."""
+        self.trace(f"MEM cycle={now} tile={tile} kind={kind} addr=0x{addr:08x} width={len(data)}"
+                   f" value=0x{data.hex()} serviced={tx.serviced_by} latency={tx.latency}")
 
     def repeat_load_hits(self, tile: int, line: CacheLine, n: int):
         """Count n data loads by `tile`, each a hit on `line` with no other access
         between; one touch orders the ways as n would, unless the line is gone."""
-        self._count_data_hits(tile, n)
-        if line.state is not LineState.INVALID:
+        self.l15_counts[tile][3] += n  # data_accesses
+        self.l15_counts[tile][4] += n  # data_hits
+        if line.state is not INVALID:
             self.l15[tile].touch(line)
 
     def byte_hits(self, tile: int, addr: int, n: int, now: int,
@@ -254,20 +273,19 @@ class MemoryFabric:
         a hit, the first at cycle `now`. Returns the bytes and their latency."""
         line = self.l15[tile].lookup(addr & self.line_mask)
         at, hit = addr - line.addr, self.hit.latency
-        self._count_data_hits(tile, n)
+        self.l15_counts[tile][3] += n  # data_accesses
+        self.l15_counts[tile][4] += n  # data_hits
         if data is None:
             kind, out = KIND_LOAD, bytes(line.data[at : at + n])
             if self.shadow is not None and out != self.shadow[addr : addr + n]:
-                raise SimError(f"data-value check failed at 0x{addr:08x}: read {out.hex()}"
-                               f" expected {self.shadow[addr:addr + n].hex()}")
+                self.data_check_failed(addr, out)
         else:
             kind, out = KIND_STORE, bytes(data)
             line.data[at : at + n] = out
             if self.shadow is not None:
                 self.shadow[addr : addr + n] = out
-        for i, byte in enumerate(out if self.trace else b""):
-            self.trace(f"MEM cycle={now + i * hit} tile={tile} kind={kind} addr=0x{addr + i:08x}"
-                       f" width=1 value=0x{byte:02x} serviced={SERVICED_L15} latency={hit}")
+        for i in range(n if self.trace else 0):
+            self.trace_mem(now + i * hit, tile, kind, addr + i, out[i : i + 1], self.hit)
         for at in sorted(w - addr for w in self.watches if addr <= w < addr + n) if data else ():
             for cb in self.watches[addr + at]:
                 cb(addr + at, out[at : at + 1], tile, now + at * hit)
@@ -284,11 +302,11 @@ class MemoryFabric:
         self.noc.transfer(op, tile, home, line_addr, now)
         data, serviced, latency = self.directory_handle(home, op, tile, line_addr, now)
         if line is not None:  # upgrade in place; install makes a new line most recent
-            line.state = LineState.MODIFIED
+            line.state = MODIFIED
             line.data = bytearray(data)
             self.l15[tile].touch(line)
         else:
-            state = LineState.SHARED if op == "GetShared" else LineState.MODIFIED
+            state = SHARED if op == "GetShared" else MODIFIED
             line = self._install_l15(tile, line_addr, data, state, now)
         self._check_line_invariants(line_addr)
         return line, MemoryTransaction(serviced, latency)
@@ -303,15 +321,15 @@ class MemoryFabric:
         l2line, serviced, latency = self._l2_get(home, line_addr, now)
         holders = l2line.holders
         if op == "GetShared":
-            if l2line.state is LineState.MODIFIED:
+            if l2line.state is MODIFIED:
                 (owner,) = holders
                 self.noc.transfer("Downgrade", home, owner, line_addr, now)
                 data = self.cache_handle(owner, "Downgrade", home, line_addr, now)
                 l2line.data = bytearray(data)
-            self._transition(home, l2line, LineState.SHARED, holders | {src}, now)
+            self._transition(home, l2line, SHARED, holders | {src}, now)
             reply = "DataShared"
         else:
-            if l2line.state is LineState.MODIFIED and src in holders:
+            if l2line.state is MODIFIED and src in holders:
                 raise ProtocolError(f"owner re-requested M for 0x{line_addr:08x}")
             recalled = sorted(holders - {src})
             # every Invalidate goes out before the first ack comes back
@@ -321,7 +339,7 @@ class MemoryFabric:
                 data = self.cache_handle(t, "Invalidate", home, line_addr, now)
                 if data is not None:
                     l2line.data = bytearray(data)
-            self._transition(home, l2line, LineState.MODIFIED, frozenset({src}), now)
+            self._transition(home, l2line, MODIFIED, frozenset({src}), now)
             reply = "DataModified"
         self.noc.transfer(reply, home, src, line_addr, now)
         return l2line.data, serviced, latency
@@ -334,16 +352,16 @@ class MemoryFabric:
         l2line = self.l2[home].lookup(line_addr)
         if l2line is None:
             raise ProtocolError(f"Writeback for untracked line 0x{line_addr:08x}")
-        if l2line.state is not LineState.MODIFIED or tile not in l2line.holders:
+        if l2line.state is not MODIFIED or tile not in l2line.holders:
             raise ProtocolError(f"Writeback from non-owner tile {tile} for 0x{line_addr:08x}")
         l2line.data = bytearray(data)
-        self._transition(home, l2line, LineState.INVALID, frozenset(), now)
+        self._transition(home, l2line, INVALID, frozenset(), now)
 
     def _transition(self, home: int, l2line: CacheLine, state: LineState,
                     holders: frozenset[int], now: int):
         l2line.state, l2line.holders = state, holders
         if self.trace:
-            if state is LineState.MODIFIED:
+            if state is MODIFIED:
                 (owner,), shown = holders, "-"
             else:
                 owner, shown = "-", ",".join(str(t) for t in sorted(holders)) or "-"
@@ -360,16 +378,16 @@ class MemoryFabric:
         cache and send its ack; returns the data of a Modified copy, or None."""
         line = self.l15[tile].lookup(line_addr)
         if op == "Downgrade":
-            if line is None or line.state is not LineState.MODIFIED:
+            if line is None or line.state is not MODIFIED:
                 raise ProtocolError(
                     f"Downgrade to tile {tile} which does not own 0x{line_addr:08x}"
                 )
-            line.state = LineState.SHARED
+            line.state = SHARED
             self.noc.transfer("DowngradeAck", tile, home, line_addr, now)
             return line.data
         data = None
         if line is not None:
-            if line.state is LineState.MODIFIED:
+            if line.state is MODIFIED:
                 data = line.data
             self.l15[tile].remove(line)
         # a silent S-eviction can leave the sharer set stale: ack regardless
@@ -382,7 +400,7 @@ class MemoryFabric:
         cache = self.l15[tile]
         victim = cache.victim(line_addr)
         if victim is not None:
-            if victim.state is LineState.MODIFIED:
+            if victim.state is MODIFIED:
                 self._writeback(tile, victim.addr, victim.data, now)
             # Shared lines evict silently; the directory keeps a stale superset.
             cache.remove(victim)
@@ -406,7 +424,7 @@ class MemoryFabric:
         victim = slice_.victim(line_addr)
         if victim is not None:
             self._evict_l2(home, victim, now)
-        return slice_.install(line_addr, data, LineState.INVALID), SERVICED_DRAM, latency
+        return slice_.install(line_addr, data, INVALID), SERVICED_DRAM, latency
 
     def _evict_l2(self, home: int, victim: CacheLine, now: int):
         """Inclusion: recall/invalidate all cached copies, then write DRAM."""
@@ -416,7 +434,7 @@ class MemoryFabric:
             data = self.cache_handle(tile, "Invalidate", home, line_addr, now)
             if data is not None:
                 victim.data = bytearray(data)
-            elif victim.state is LineState.MODIFIED:
+            elif victim.state is MODIFIED:
                 raise ProtocolError(f"recall of 0x{line_addr:08x} returned no data")
         self.dram_write(line_addr, victim.data)
         self.l2[home].remove(victim)
@@ -428,7 +446,7 @@ class MemoryFabric:
         """Single-writer / directory-consistency for one line's valid private copies."""
         valid = [(t, ln) for t, cache in enumerate(self.l15)
                  if (ln := cache.lookup(line_addr)) is not None]
-        if len(valid) > 1 and any(ln.state is LineState.MODIFIED for _, ln in valid):
+        if len(valid) > 1 and any(ln.state is MODIFIED for _, ln in valid):
             raise ProtocolError(
                 f"single-writer violated at 0x{line_addr:08x}: "
                 + ", ".join(f"tile{t}={ln.state.value}" for t, ln in valid)
@@ -437,7 +455,7 @@ class MemoryFabric:
         for t, ln in valid:
             if entry is None:
                 raise ProtocolError(f"0x{line_addr:08x} cached by tile {t} but untracked")
-            if (ln.state is LineState.MODIFIED) != (entry.state is LineState.MODIFIED):
+            if (ln.state is MODIFIED) != (entry.state is MODIFIED):
                 raise ProtocolError(f"0x{line_addr:08x} {ln.state.value} in tile {t},"
                                     f" {entry.state.value} in the directory")
             if t not in entry.holders:
@@ -452,13 +470,13 @@ class MemoryFabric:
         for slice_ in self.l2:
             for entry in slice_.resident_lines():
                 state, n = entry.state, len(entry.holders)  # M: one, S: some, I: none
-                if not (n == 1 if state is LineState.MODIFIED
-                        else (n > 0) == (state is LineState.SHARED)):
+                if not (n == 1 if state is MODIFIED
+                        else (n > 0) == (state is SHARED)):
                     raise ProtocolError(f"dir 0x{entry.addr:08x}: {state.value} with holders"
                                         f" {sorted(entry.holders)}")
-                if state is LineState.MODIFIED:
+                if state is MODIFIED:
                     (owner,) = entry.holders
                     line = self.l15[owner].lookup(entry.addr)
-                    if line is None or line.state is not LineState.MODIFIED:
+                    if line is None or line.state is not MODIFIED:
                         raise ProtocolError(f"0x{entry.addr:08x} owned by tile {owner},"
                                             " which holds no Modified copy")

@@ -51,6 +51,10 @@ class RunState(enum.Enum):
     HALTED = "halted"
 
 
+# per-step code reads these names: Python 3.11 looks `RunState.X` up via the class
+HELD_IN_RESET, RUNNING, HALTED = RunState
+
+
 @dataclass(slots=True)
 class StepResult:
     cycles: int
@@ -78,7 +82,7 @@ class Rv32Core:
     pc: int = 0
     regs: list[int] = field(default_factory=lambda: [0] * 32)
     cycle_counter: int = 0
-    run_state: RunState = RunState.HELD_IN_RESET
+    run_state: RunState = HELD_IN_RESET
     halt_reason: str | None = None
     instret: int = 0
     ignored_start_interrupts: int = 0
@@ -101,21 +105,17 @@ class Rv32Core:
 
     def deliver_start_interrupt(self):
         """Release the core from reset; a second delivery is a recorded no-op."""
-        if self.run_state is RunState.HELD_IN_RESET:
-            self.run_state = RunState.RUNNING
+        if self.run_state is HELD_IN_RESET:
+            self.run_state = RUNNING
             self.pc = self.reset_vector & M32
         else:
             self.ignored_start_interrupts += 1
-
-    def halt(self, reason: str):
-        self.run_state = RunState.HALTED
-        self.halt_reason = reason
 
     # -- stepping ----------------------------------------------------------------
 
     def step(self) -> StepResult:
         """Execute exactly one instruction; requires run_state == RUNNING."""
-        if self.run_state is not RunState.RUNNING:
+        if self.run_state is not RUNNING:
             raise SimError(f"step() while {self.run_state.value}")
         pc = self.pc
         try:
@@ -137,7 +137,7 @@ class Rv32Core:
             cycles = f_cycles + e_cycles
             next_pc, d_cycles = handler(self, insn, pc, cycles)
         except _Trap as trap:
-            self.halt(f"trap: {trap.reason} @pc=0x{pc:08x}")
+            self.run_state, self.halt_reason = HALTED, f"trap: {trap.reason} @pc=0x{pc:08x}"
             self.cycle_counter += trap.cycles
             return StepResult(cycles=trap.cycles, trap=trap.reason)
         self.regs[0] = 0

@@ -3,9 +3,9 @@ tests/cosim.py, one instruction at a time, over the corpus, the bundled
 rv32ui suite and the benchmark's memwalk and sysio guests.
 
 The machine runs as usual. Wrappers on the instance (as test_golden.py puts
-them) mirror every host-tile store into the stepper's memory as it happens
-(the loader, mailbox results, syscall payloads, whose bytes after the first
-of each line are stored by `byte_hits`) and, after each guest step,
+them) mirror every store of the host's port into the stepper's memory as it
+happens (the loader, mailbox results, syscall payloads, whose bytes after the
+first of each line are stored by `byte_hits`) and, after each guest step,
 step the stepper once and compare pc, the 32 registers and instret. A step
 the core traps on must be one the stepper traps on too.
 """
@@ -26,16 +26,16 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def lockstep(machine) -> cosim.FlatCpu:
-    """Wrap the machine's guest core and its fabric; returns the stepper."""
-    core, fabric = machine.guest.core, machine.fabric
+    """Wrap the machine's guest core, the host's port and the fabric; returns
+    the stepper."""
+    core, fabric, port = machine.guest.core, machine.fabric, machine.host.port
     ref = cosim.FlatCpu(len(fabric.dram), machine.config.reset_vector)
     host = machine.config.host_tile()
-    access, byte_hits, step = fabric.access, fabric.byte_hits, core.step
+    store, byte_hits, step = port.store, fabric.byte_hits, core.step
 
-    def mirrored_access(tile, kind, addr, width, data=None, now=0):
-        result = access(tile, kind, addr, width, data, now)
-        if tile == host and kind == "store":
-            ref.mem[addr : addr + width] = data
+    def mirrored_store(addr, width, value):
+        result = store(addr, width, value)
+        ref.mem[addr : addr + width] = value.to_bytes(width, "little")
         return result
 
     def mirrored_byte_hits(tile, addr, n, now, data=None):
@@ -58,7 +58,7 @@ def lockstep(machine) -> cosim.FlatCpu:
         assert core.instret == ref.instret
         return result
 
-    fabric.access = mirrored_access
+    port.store = mirrored_store
     fabric.byte_hits = mirrored_byte_hits
     core.step = lockstep_step
     return ref

@@ -347,26 +347,77 @@ def test_line_moves_copy_and_store_hits_stay_private():
     assert bytes(l2.lookup(0x5000).data[:4]) == (0x33333333).to_bytes(4, "little")
 
 
+def last_mem_outcome(lines):
+    """(serviced, latency) of the last `MEM` trace line."""
+    fields = dict(f.split("=", 1) for f in next(
+        line for line in reversed(lines) if line.startswith("MEM ")).split()[1:])
+    return fields["serviced"], int(fields["latency"])
+
+
 def test_timing_closure_classification():
-    fabric = make_fabric(n_guests=2, jitter=0)
-    _, tx = fabric.access(1, "load", 0x9000, 4)
-    assert tx.serviced_by == SERVICED_DRAM and tx.latency == 100
-    _, tx = fabric.access(1, "load", 0x9000, 4)
-    assert tx.serviced_by == SERVICED_L15 and tx.latency == 4
-    _, tx = fabric.access(2, "load", 0x9000, 4)
-    assert tx.serviced_by == SERVICED_L2
-    assert tx.latency == fabric.config.timing.l15_to_l2_cycles
+    lines = []
+    fabric = make_fabric(n_guests=2, jitter=0, trace=lines.append)
+    a, b = guest_port(fabric, 1), guest_port(fabric, 2)
+    assert a.load(0x9000, 4)[1] == 100
+    assert last_mem_outcome(lines) == (SERVICED_DRAM, 100)
+    assert a.load(0x9000, 4)[1] == 4
+    assert last_mem_outcome(lines) == (SERVICED_L15, 4)
+    l2 = fabric.config.timing.l15_to_l2_cycles
+    assert b.load(0x9000, 4)[1] == l2
+    assert last_mem_outcome(lines) == (SERVICED_L2, l2)
 
 
 def test_every_hit_returns_the_one_outcome_built_with_the_fabric():
     """A hit allocates no outcome; a miss builds its own, since DRAM jitter
-    varies its latency."""
-    fabric = make_fabric(jitter=1)
-    _, first = fabric.access(1, "load", 0x9000, 4)
-    hits = [fabric.access(1, kind, 0x9000, 4)[1] for kind in ("load", "ifetch", "load")]
-    assert all(tx is fabric.hit for tx in hits)
+    varies its latency. The outcomes are the ones each access traces."""
+    fabric = make_fabric(jitter=1, trace=lambda _line: None)
+    outcomes = []
+    fabric.trace_mem = lambda now, tile, kind, addr, data, tx: outcomes.append(tx)
+    port = guest_port(fabric)
+    port.load(0x9000, 4)
+    before = fabric.counts()
+    port.load(0x9000, 4)
+    port.fetch(0x9000)
+    port.load(0x9004, 4)
+    first, *hits = outcomes
+    assert len(hits) == 3 and all(tx is fabric.hit for tx in hits)
     assert first is not fabric.hit and first.serviced_by == SERVICED_DRAM
     assert fabric.hit.latency == fabric.config.timing.l15_hit_cycles
+    after = fabric.counts()
+    assert {k: after[k] - before[k] for k in after if after[k] != before[k]} == {
+        "l15.tile1.data_accesses": 2, "l15.tile1.data_hits": 2,
+        "l15.tile1.ifetch_accesses": 1, "l15.tile1.ifetch_hits": 1}
+
+
+def test_miss_path_refuses_a_tile_that_holds_a_usable_copy():
+    """`access` runs only misses: a second copy of a line is never installed."""
+    fabric = make_fabric()
+    guest_port(fabric).load(LINE, 4)  # tile 1 holds the line Shared
+    before = fabric.counts()
+    for kind in ("load", "ifetch"):
+        with pytest.raises(SimError, match="which tile 1 holds"):
+            fabric.access(1, kind, LINE, 4)
+    assert fabric.counts() == before
+    line, tx = fabric.access(1, "store", LINE, 4)  # a Shared copy is upgraded
+    assert line.state is LineState.MODIFIED and tx.serviced_by == SERVICED_L2
+    with pytest.raises(SimError, match="which tile 1 holds"):
+        fabric.access(1, "store", LINE, 4)
+    assert list(fabric.l15[1].resident_lines()) == [line]
+    fabric.check_global_invariants()
+
+
+@pytest.mark.parametrize("op", ["fetch", "load", "store"])
+def test_port_rejects_a_misaligned_access(op):
+    fabric = make_fabric()
+    port = guest_port(fabric)
+    with pytest.raises(SimError, match=r"width-aligned \(0x1002/4\)"):
+        if op == "fetch":
+            port.fetch(0x1002)
+        elif op == "load":
+            port.load(0x1002, 4)
+        else:
+            port.store(0x1002, 4, 0)
+    assert set(fabric.counts().values()) == {0}
 
 
 def test_port_rejects_tile_outside_fabric():
