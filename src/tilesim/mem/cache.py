@@ -44,18 +44,15 @@ class CacheArray:
         self.n_sets = size_bytes // line_size // associativity
         self.sets: list[OrderedDict[int, CacheLine]] = [OrderedDict()
                                                         for _ in range(self.n_sets)]
-        self._index: dict[int, CacheLine] = {}
-
-    def _set(self, line_addr: int) -> OrderedDict[int, CacheLine]:
-        return self.sets[(line_addr // self.line_size) % self.n_sets]
+        self.index: dict[int, CacheLine] = {}  # every resident line, by address
 
     def lookup(self, line_addr: int) -> CacheLine | None:
-        return self._index.get(line_addr)
+        return self.index.get(line_addr)
 
     def hit(self, line_addr: int, store: bool) -> CacheLine | None:
         """The line at line_addr, made the most recent, if it serves a read or,
         as Modified, a store; else None, with the order unchanged."""
-        line = self._index.get(line_addr)
+        line = self.index.get(line_addr)
         if line is not None and (not store or line.state is MODIFIED):
             self.sets[(line_addr // self.line_size) % self.n_sets].move_to_end(line_addr)
             return line
@@ -66,7 +63,7 @@ class CacheArray:
     def victim(self, line_addr: int) -> CacheLine | None:
         """The line a new line_addr would displace: None while its set has a
         free way, else the least recently used line."""
-        lines = self._set(line_addr)
+        lines = self.sets[(line_addr // self.line_size) % self.n_sets]
         if len(lines) < self.ways:
             return None
         return next(iter(lines.values()))
@@ -76,14 +73,15 @@ class CacheArray:
         used line, and return it. The line keeps `data` itself, so pass a
         bytearray that nothing else holds."""
         line = CacheLine(line_addr, state, data)
-        self._set(line_addr)[line_addr] = line
-        self._index[line_addr] = line
+        self.sets[(line_addr // self.line_size) % self.n_sets][line_addr] = line
+        self.index[line_addr] = line
         return line
 
     def remove(self, line: CacheLine):
-        del self._set(line.addr)[line.addr]
-        del self._index[line.addr]
+        addr = line.addr
+        del self.sets[(addr // self.line_size) % self.n_sets][addr]
+        del self.index[addr]
         line.state = INVALID
 
     def resident_lines(self):
-        return self._index.values()
+        return self.index.values()

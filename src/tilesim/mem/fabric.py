@@ -42,6 +42,11 @@ Latency charged to the requester is classified by who serviced the line:
     DRAM                 dram_access_cycles +/- jitter (seeded draw, exact
                          without jitter)
 
+Every outcome (serviced level, latency) is built with the fabric: `hit`,
+`l2_hit` and `dram_outcomes`, one per DRAM latency, lowest first. A DRAM read
+draws one with `rng.choice`, the one draw `randint(-jitter, jitter)` takes
+(none without jitter), and the miss chain passes it back unchanged.
+
 Shared-state evictions are silent, so a Shared line's holders may be a stale
 superset of its sharers; an Invalidate to a non-holder is acked without state
 change. Modified evictions write back on channel 3 and are never silent, so
@@ -178,7 +183,12 @@ class MemoryFabric:
         self.l2_counts = [[0] * len(_L2_KEYS) for _ in range(self.n_tiles)]
         self.dram_reads = 0
         self.dram_writes = 0
-        self.hit = MemoryTransaction(SERVICED_L15, config.timing.l15_hit_cycles)
+        timing = config.timing
+        self.hit = MemoryTransaction(SERVICED_L15, timing.l15_hit_cycles)
+        self.l2_hit = MemoryTransaction(SERVICED_L2, timing.l15_to_l2_cycles)
+        jitter = timing.dram_jitter_cycles
+        self.dram_outcomes = tuple(MemoryTransaction(SERVICED_DRAM, timing.dram_access_cycles + j)
+                                   for j in range(-jitter, jitter + 1))
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -213,15 +223,15 @@ class MemoryFabric:
 
     # -- DRAM ----------------------------------------------------------------
 
-    def dram_read(self, line_addr: int) -> tuple[bytearray, int]:
-        """A copy of one line, and its latency: the access time +/- jitter."""
+    def dram_read(self, line_addr: int) -> tuple[bytearray, MemoryTransaction]:
+        """A copy of one line, and its outcome: the access time +/- jitter,
+        drawn as `randint(-jitter, jitter)` draws it; no draw without jitter."""
         if line_addr + self.line_size > len(self.dram):
             raise MemoryFault(line_addr, "beyond the physical map")
-        timing = self.config.timing
-        jitter = timing.dram_jitter_cycles
-        latency = timing.dram_access_cycles + (self.rng.randint(-jitter, jitter) if jitter else 0)
+        outcomes = self.dram_outcomes
         self.dram_reads += 1
-        return self.dram[line_addr : line_addr + self.line_size], latency
+        return (self.dram[line_addr : line_addr + self.line_size],
+                self.rng.choice(outcomes) if len(outcomes) > 1 else outcomes[0])
 
     def dram_write(self, line_addr: int, data: bytearray):
         self.dram[line_addr : line_addr + self.line_size] = data
@@ -300,7 +310,7 @@ class MemoryFabric:
         tile's line and the miss's outcome: who serviced it, at what latency."""
         home = self.home_of(line_addr)
         self.noc.transfer(op, tile, home, line_addr, now)
-        data, serviced, latency = self.directory_handle(home, op, tile, line_addr, now)
+        data, tx = self.directory_handle(home, op, tile, line_addr, now)
         if line is not None:  # upgrade in place; install makes a new line most recent
             line.state = MODIFIED
             line.data = bytearray(data)
@@ -309,16 +319,16 @@ class MemoryFabric:
             state = SHARED if op == "GetShared" else MODIFIED
             line = self._install_l15(tile, line_addr, data, state, now)
         self._check_line_invariants(line_addr)
-        return line, MemoryTransaction(serviced, latency)
+        return line, tx
 
     # -- directory side ------------------------------------------------------------
 
     def directory_handle(self, home: int, op: str, src: int, line_addr: int,
-                         now: int) -> tuple[bytearray, str, int]:
+                         now: int) -> tuple[bytearray, MemoryTransaction]:
         """One MSI transition at the home slice for a GetShared or GetModified
         from `src`: recall the copies it must, send the data reply, and return
-        (the L2 line's own data, serviced level, latency)."""
-        l2line, serviced, latency = self._l2_get(home, line_addr, now)
+        the L2 line's own data and the miss's outcome."""
+        l2line, tx = self._l2_get(home, line_addr, now)
         holders = l2line.holders
         if op == "GetShared":
             if l2line.state is MODIFIED:
@@ -342,7 +352,7 @@ class MemoryFabric:
             self._transition(home, l2line, MODIFIED, frozenset({src}), now)
             reply = "DataModified"
         self.noc.transfer(reply, home, src, line_addr, now)
-        return l2line.data, serviced, latency
+        return l2line.data, tx
 
     def _writeback(self, tile: int, line_addr: int, data: bytearray, now: int):
         """`tile` writes its Modified copy back to the home, which takes the
@@ -409,22 +419,22 @@ class MemoryFabric:
 
     # -- L2 slice + inclusion ----------------------------------------------------------
 
-    def _l2_get(self, home: int, line_addr: int, now: int) -> tuple[CacheLine, str, int]:
-        """The home's L2 line, fetched from DRAM as Invalid on an L2 miss, with
-        the level that serviced the request and its latency."""
+    def _l2_get(self, home: int, line_addr: int, now: int) -> tuple[CacheLine, MemoryTransaction]:
+        """The home's L2 line, fetched from DRAM as Invalid on an L2 miss, and
+        the request's outcome: who serviced it, at what latency."""
         slice_ = self.l2[home]
         counts = self.l2_counts[home]
         counts[0] += 1
         l2line = slice_.hit(line_addr, False)
         if l2line is not None:
             counts[1] += 1
-            return l2line, SERVICED_L2, self.config.timing.l15_to_l2_cycles
+            return l2line, self.l2_hit
         counts[2] += 1
-        data, latency = self.dram_read(line_addr)
+        data, tx = self.dram_read(line_addr)
         victim = slice_.victim(line_addr)
         if victim is not None:
             self._evict_l2(home, victim, now)
-        return slice_.install(line_addr, data, INVALID), SERVICED_DRAM, latency
+        return slice_.install(line_addr, data, INVALID), tx
 
     def _evict_l2(self, home: int, victim: CacheLine, now: int):
         """Inclusion: recall/invalidate all cached copies, then write DRAM."""
@@ -444,14 +454,21 @@ class MemoryFabric:
 
     def _check_line_invariants(self, line_addr: int):
         """Single-writer / directory-consistency for one line's valid private copies."""
-        valid = [(t, ln) for t, cache in enumerate(self.l15)
-                 if (ln := cache.lookup(line_addr)) is not None]
-        if len(valid) > 1 and any(ln.state is MODIFIED for _, ln in valid):
-            raise ProtocolError(
-                f"single-writer violated at 0x{line_addr:08x}: "
-                + ", ".join(f"tile{t}={ln.state.value}" for t, ln in valid)
-            )
-        entry = self.l2[self.home_of(line_addr)].lookup(line_addr)
+        valid = []
+        for t, cache in enumerate(self.l15):
+            ln = cache.index.get(line_addr)
+            if ln is not None:
+                valid.append((t, ln))
+        if not valid:
+            return
+        if len(valid) > 1:
+            for _, ln in valid:
+                if ln.state is MODIFIED:
+                    raise ProtocolError(
+                        f"single-writer violated at 0x{line_addr:08x}: "
+                        + ", ".join(f"tile{t}={ln.state.value}" for t, ln in valid)
+                    )
+        entry = self.l2[(line_addr // self.line_size) % self.n_tiles].index.get(line_addr)
         for t, ln in valid:
             if entry is None:
                 raise ProtocolError(f"0x{line_addr:08x} cached by tile {t} but untracked")

@@ -16,12 +16,18 @@ No privileged state exists. ecall/ebreak, undecodable words, misaligned
 accesses, unknown CSRs and memory faults all halt the core with a trap reason;
 there is no trap handler to vector to.
 
-Each instruction word is decoded once, into a dict from word to (handler,
-Instruction, execution cycles) that a step dispatches from. Every step still
-fetches through the port, so fetch timing and the word come from memory. Keyed
-by word, not by pc, the dict needs no invalidation: after a store over code
-the next fetch returns the new word, decoded on first sight like any other.
-A word that fails to decode is not kept; it traps each time.
+Each instruction word is decoded once, into a handler bound to its operands
+as ints (registers, the masked immediate), kept in a dict from word to
+(handler, Instruction, execution cycles) that a step dispatches from; an ALU
+op is one `operator` function call, masked to 32 bits. Every step still
+fetches through the port, so fetch timing and the word come from memory.
+Keyed by word, not by pc, the dict needs no invalidation: after a store over
+code the next fetch returns the new word, decoded on first sight like any
+other. A word that fails to decode is not kept; it traps each time.
+
+A core owns one StepResult and `step` rewrites all of its fields and returns
+it, so a result is valid until the next step. Its cycles split exactly into
+fetch + execution + data, trapping steps included.
 """
 
 from __future__ import annotations
@@ -29,18 +35,10 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..config import TimingConfig
 from ..errors import DecodeError, MemoryFault, SimError
-from .insn import (
-    CSR_CYCLE,
-    CSR_CYCLEH,
-    Instruction,
-    OpClass,
-    decode,
-    sext,
-)
+from .insn import CSR_CYCLE, CSR_CYCLEH, Instruction, OpClass, decode, sext
 
 M32 = 0xFFFFFFFF
 
@@ -57,6 +55,8 @@ HELD_IN_RESET, RUNNING, HALTED = RunState
 
 @dataclass(slots=True)
 class StepResult:
+    """One step's cycles and their split, its instruction and any trap reason."""
+
     cycles: int
     fetch_cycles: int = 0
     exec_cycles: int = 0
@@ -100,6 +100,7 @@ class Rv32Core:
             OpClass.LOAD: t.load_store_exec_cycles, OpClass.STORE: t.load_store_exec_cycles,
         }
         self._decoded: dict[int, tuple] = {}  # word -> (handler, Instruction, exec cycles)
+        self.result = StepResult(0)
 
     # -- run-state transitions -------------------------------------------------
 
@@ -114,10 +115,13 @@ class Rv32Core:
     # -- stepping ----------------------------------------------------------------
 
     def step(self) -> StepResult:
-        """Execute exactly one instruction; requires run_state == RUNNING."""
+        """Execute exactly one instruction; requires run_state == RUNNING.
+        Returns the core's one StepResult, valid until the next step."""
         if self.run_state is not RUNNING:
             raise SimError(f"step() while {self.run_state.value}")
         pc = self.pc
+        r = self.result
+        f_cycles = 0  # the fetch latency charged: none for a misaligned or faulting fetch
         try:
             if pc & 0x3:
                 raise _Trap(f"misaligned fetch 0x{pc:08x}")
@@ -131,117 +135,134 @@ class Rv32Core:
                     insn = decode(word, pc)
                 except DecodeError as err:
                     raise _Trap(str(err), f_cycles) from err
-                entry = self._decoded[word] = (
-                    _HANDLERS[insn.mnemonic], insn, self.exec_cycles[insn.opclass])
-            handler, insn, e_cycles = entry
+                entry = self._decoded[word] = (_bind(insn), insn, self.exec_cycles[insn.opclass])
+            handler, r.instruction, e_cycles = entry
+            r.data_cycles = 0  # a load or store handler sets its own
             cycles = f_cycles + e_cycles
-            next_pc, d_cycles = handler(self, insn, pc, cycles)
+            next_pc = handler(self, pc, cycles)
         except _Trap as trap:
             self.run_state, self.halt_reason = HALTED, f"trap: {trap.reason} @pc=0x{pc:08x}"
             self.cycle_counter += trap.cycles
-            return StepResult(cycles=trap.cycles, trap=trap.reason)
+            r.cycles, r.fetch_cycles, r.exec_cycles = trap.cycles, f_cycles, trap.cycles - f_cycles
+            r.data_cycles, r.instruction, r.trap = 0, None, trap.reason
+            return r
         self.regs[0] = 0
         self.pc = next_pc & M32
-        self.cycle_counter += cycles + d_cycles
+        cycles += r.data_cycles
+        self.cycle_counter += cycles
         self.instret += 1
-        return StepResult(cycles + d_cycles, f_cycles, e_cycles, d_cycles, insn)
+        r.cycles, r.fetch_cycles, r.exec_cycles, r.trap = cycles, f_cycles, e_cycles, None
+        return r
 
 
 # -- instruction handlers ----------------------------------------------------------
-#
-# handler(core, insn, pc, cycles) -> (next pc, data cycles). `cycles` is the
-# fetch plus execution cost so far: what a trap charges and the retire point a
-# CSR read samples. The step masks the next pc to 32 bits.
 
-# ALU semantics on unsigned 32-bit operands; shifts take b mod 32
-_ALU = {
-    "add": lambda a, b: (a + b) & M32, "sub": lambda a, b: (a - b) & M32,
-    "xor": operator.xor, "or": operator.or_, "and": operator.and_,
-    "sll": lambda a, b: (a << (b & 31)) & M32, "srl": lambda a, b: a >> (b & 31),
-    "sra": lambda a, b: (sext(a, 32) >> (b & 31)) & M32,
-    "slt": lambda a, b: int(sext(a, 32) < sext(b, 32)), "sltu": lambda a, b: int(a < b),
-}
-_BRANCHES = {
-    "beq": operator.eq, "bne": operator.ne, "bltu": operator.lt, "bgeu": operator.ge,
-    "blt": lambda a, b: sext(a, 32) < sext(b, 32),
-    "bge": lambda a, b: sext(a, 32) >= sext(b, 32),
-}
-_LOADS = {"lb": (1, True), "lh": (2, True), "lw": (4, False), "lbu": (1, False), "lhu": (2, False)}
-
-
-def _arith(fn, imm, core, i, pc, _cycles):
-    regs = core.regs
-    regs[i.rd] = fn(regs[i.rs1], i.imm & M32 if imm else regs[i.rs2])
-    return pc + 4, 0
-
-
-def _upper(add_pc, core, i, pc, _cycles):  # lui, auipc
-    core.regs[i.rd] = (pc + i.imm if add_pc else i.imm) & M32
-    return pc + 4, 0
-
-
-def _jump(register, core, i, pc, _cycles):  # jal, jalr (which clears bit 0)
-    target = (core.regs[i.rs1] + i.imm) & ~1 if register else pc + i.imm
-    core.regs[i.rd] = (pc + 4) & M32
-    return target, 0
-
-
-def _branch(taken, core, i, pc, _cycles):
-    return (pc + i.imm if taken(core.regs[i.rs1], core.regs[i.rs2]) else pc + 4), 0
-
-
-def _load(width, signed, core, i, pc, cycles):
-    addr = (core.regs[i.rs1] + i.imm) & M32
-    if addr % width:
-        raise _Trap(f"misaligned load 0x{addr:08x}", cycles)
-    try:
-        value, d_cycles = core.port.load(addr, width)
-    except MemoryFault as fault:
-        raise _Trap(f"load fault: {fault}", cycles) from fault
-    core.regs[i.rd] = sext(value, width * 8) & M32 if signed else value
-    return pc + 4, d_cycles
-
-
-def _store(width, core, i, pc, cycles):
-    addr = (core.regs[i.rs1] + i.imm) & M32
-    if addr % width:
-        raise _Trap(f"misaligned store 0x{addr:08x}", cycles)
-    try:
-        d_cycles = core.port.store(addr, width, core.regs[i.rs2] & ((1 << width * 8) - 1))
-    except MemoryFault as fault:
-        raise _Trap(f"store fault: {fault}", cycles) from fault
-    return pc + 4, d_cycles
-
-
-def _system(core, i, pc, cycles):
-    if i.mnemonic in ("ecall", "ebreak"):
-        raise _Trap(i.mnemonic, cycles)
-    # Only pure reads of the cycle counter are legal: csrrs/csrrc with rs1=x0 (or
-    # zimm=0) never write; anything else writes a read-only counter or no CSR.
-    if i.mnemonic in ("csrrw", "csrrwi") or i.rs1 != 0:
-        raise _Trap(f"csr write attempt ({i.mnemonic})", cycles)
-    if i.csr not in (CSR_CYCLE, CSR_CYCLEH):
-        raise _Trap(f"csr 0x{i.csr:03x} not implemented", cycles)
-    # retire-point sample: the counter including this instruction's own cost
-    retired = core.cycle_counter + cycles
-    core.regs[i.rd] = (retired if i.csr == CSR_CYCLE else retired >> 32) & M32
-    return pc + 4, 0
-
-
-_HANDLERS = {
-    "lui": partial(_upper, False), "auipc": partial(_upper, True),
-    "jal": partial(_jump, False), "jalr": partial(_jump, True),
-    "fence": lambda _core, _i, pc, _cycles: (pc + 4, 0),  # one memory port, strictly ordered
-    **{op: partial(_arith, fn, False) for op, fn in _ALU.items()},
-    # an immediate form shares its base op's semantics: addi -> add, sltiu -> sltu
-    **{op: partial(_arith, _ALU[op.replace("i", "", 1)], True)
+# What each handler applies: an ALU op (on unsigned 32-bit operands, its result
+# masked to 32 bits, so a bool gives 0 or 1), a branch test, a load's (width,
+# signed) or a store's width. An immediate form shares its base op's semantics:
+# addi -> add, sltiu -> sltu.
+_ALU = {"add": operator.add, "sub": operator.sub, "xor": operator.xor, "or": operator.or_,
+        "and": operator.and_, "sll": operator.lshift, "srl": operator.rshift,
+        "sra": lambda a, b: sext(a, 32) >> b, "slt": lambda a, b: sext(a, 32) < sext(b, 32),
+        "sltu": operator.lt}
+_SEMANTICS = {
+    **_ALU,
+    **{op: _ALU[op.replace("i", "", 1)]
        for op in ("addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai")},
-    **{op: partial(_branch, fn) for op, fn in _BRANCHES.items()},
-    **{op: partial(_load, width, signed) for op, (width, signed) in _LOADS.items()},
-    **{op: partial(_store, width) for op, width in (("sb", 1), ("sh", 2), ("sw", 4))},
-    **{op: _system for op in ("ecall", "ebreak", "csrrw", "csrrs", "csrrc",
-                              "csrrwi", "csrrsi", "csrrci")},
+    "beq": operator.eq, "bne": operator.ne, "bltu": operator.lt, "bgeu": operator.ge,
+    "blt": _ALU["slt"], "bge": lambda a, b: sext(a, 32) >= sext(b, 32),
+    "lb": (1, True), "lh": (2, True), "lw": (4, False), "lbu": (1, False), "lhu": (2, False),
+    "sb": 1, "sh": 2, "sw": 4,
 }
+
+
+def _bind(i: Instruction):
+    """The handler of one decoded instruction, its operands bound as ints:
+    handler(core, pc, cycles) -> next pc. `cycles` is the fetch plus execution
+    cost so far: what a trap charges and the retire point a CSR read samples.
+    A load or store writes its data cycles into `core.result`. The immediate is
+    bound masked to 32 bits, since every use adds it mod 2^32 or compares it
+    unsigned, and the step masks the next pc."""
+    op, cls, sem = i.mnemonic, i.opclass, _SEMANTICS.get(i.mnemonic)
+    rd, rs1, rs2, imm = i.rd, i.rs1, i.rs2, i.imm & M32
+    if cls is OpClass.OP:
+        b_mask = 31 if op in ("sll", "srl", "sra") else M32  # shifts take rs2 mod 32
+        def handler(core, pc, _cycles):
+            regs = core.regs
+            regs[rd] = sem(regs[rs1], regs[rs2] & b_mask) & M32
+            return pc + 4
+    elif cls is OpClass.OP_IMM:
+        def handler(core, pc, _cycles):
+            regs = core.regs
+            regs[rd] = sem(regs[rs1], imm) & M32
+            return pc + 4
+    elif cls is OpClass.BRANCH:
+        def handler(core, pc, _cycles):
+            regs = core.regs
+            return pc + imm if sem(regs[rs1], regs[rs2]) else pc + 4
+    elif cls is OpClass.LUI:
+        def handler(core, pc, _cycles):
+            core.regs[rd] = imm
+            return pc + 4
+    elif cls is OpClass.AUIPC:
+        def handler(core, pc, _cycles):
+            core.regs[rd] = (pc + imm) & M32
+            return pc + 4
+    elif cls is OpClass.JAL:
+        def handler(core, pc, _cycles):
+            core.regs[rd] = (pc + 4) & M32
+            return pc + imm
+    elif cls is OpClass.JALR:  # clears bit 0 of the target
+        def handler(core, pc, _cycles):
+            regs = core.regs
+            target = (regs[rs1] + imm) & ~1
+            regs[rd] = (pc + 4) & M32
+            return target
+    elif cls is OpClass.LOAD:
+        (width, signed), bits = sem, sem[0] * 8
+        def handler(core, pc, cycles):
+            addr = (core.regs[rs1] + imm) & M32
+            if addr % width:
+                raise _Trap(f"misaligned load 0x{addr:08x}", cycles)
+            try:
+                value, core.result.data_cycles = core.port.load(addr, width)
+            except MemoryFault as fault:
+                raise _Trap(f"load fault: {fault}", cycles) from fault
+            core.regs[rd] = sext(value, bits) & M32 if signed else value
+            return pc + 4
+    elif cls is OpClass.STORE:
+        width, mask = sem, (1 << sem * 8) - 1
+        def handler(core, pc, cycles):
+            addr = (core.regs[rs1] + imm) & M32
+            if addr % width:
+                raise _Trap(f"misaligned store 0x{addr:08x}", cycles)
+            try:
+                core.result.data_cycles = core.port.store(addr, width, core.regs[rs2] & mask)
+            except MemoryFault as fault:
+                raise _Trap(f"store fault: {fault}", cycles) from fault
+            return pc + 4
+    elif cls is OpClass.FENCE:  # one memory port, strictly ordered
+        def handler(_core, pc, _cycles):
+            return pc + 4
+    else:
+        # Only pure reads of the cycle counter are legal: csrrs/csrrc with rs1=x0 (or
+        # zimm=0) never write; anything else writes a read-only counter or no CSR.
+        if op in ("ecall", "ebreak"):
+            reason = op
+        elif op in ("csrrw", "csrrwi") or rs1 != 0:
+            reason = f"csr write attempt ({op})"
+        elif i.csr not in (CSR_CYCLE, CSR_CYCLEH):
+            reason = f"csr 0x{i.csr:03x} not implemented"
+        else:
+            shift = 0 if i.csr == CSR_CYCLE else 32
+            def handler(core, pc, cycles):
+                # retire-point sample: the counter including this instruction's own cost
+                core.regs[rd] = ((core.cycle_counter + cycles) >> shift) & M32
+                return pc + 4
+            return handler
+        def handler(_core, _pc, cycles):
+            raise _Trap(reason, cycles)
+    return handler
 
 
 class _Trap(SimError):

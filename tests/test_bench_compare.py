@@ -65,9 +65,10 @@ def test_host_loop_is_timed_before_every_run_and_its_median_kept_per_side(tool, 
         events.append("loop")
         return float(next(loop_s))
 
-    def fake_run(tree, workload, seed, seconds):
-        events.append(tree)
-        return {"correct": True, "metrics": {"guest_kips": 100.0 if tree == "p" else 110.0}}
+    def fake_run(tree, workload, seed, seconds, trace=False):
+        events.append(tree + " traced" if trace else tree)
+        return {"correct": True, "failed": 0,
+                "metrics": {"guest_kips": 100.0 if tree == "p" else 110.0}}
 
     monkeypatch.setattr(tool, "host_loop_s", fake_loop)
     monkeypatch.setattr(tool, "run_side", fake_run)
@@ -81,6 +82,53 @@ def test_host_loop_is_timed_before_every_run_and_its_median_kept_per_side(tool, 
     assert loops["change"]["samples"] == [2.0, 3.0, 6.0, 7.0, 10.0, 11.0, 14.0, 15.0, 18.0, 19.0]
     assert (loops["parent"]["median"], loops["change"]["median"]) == (10.5, 10.5)
     assert result["metrics"]["guest_kips"]["change_wins"] == tool.PAIRS
+    assert events[-2:] == ["p traced", "c traced"]  # after the pairs; no loop timed
+
+
+def test_each_side_makes_one_traced_run_recorded_and_gating_correct(tool, monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=False):
+        calls.append((tree, workload, seed, seconds, trace))
+        if trace:
+            return {"correct": tree == "p", "failed": int(tree == "c"),
+                    "metrics": {"mem.cache.lookup.calls": 10 if tree == "p" else 4}}
+        return {"correct": True, "failed": 0, "metrics": {"guest_kips": 100.0}}
+
+    monkeypatch.setattr(tool, "host_loop_s", lambda: 0.1)
+    monkeypatch.setattr(tool, "run_side", fake_run)
+    metric = {"name": "guest_kips", "unit": "kIPS", "better": "higher"}
+    result = tool.compare({"parent": "p", "change": "c"}, "memwalk", 1, 30, [metric])
+
+    traced_calls = [c for c in calls if c[4]]
+    assert traced_calls == [("p", "memwalk", 1, 30, True), ("c", "memwalk", 1, 30, True)]
+    assert len(calls) == 2 * tool.PAIRS + 2
+    assert result["traced"]["parent"] == {"correct": True, "failed": 0,
+                                          "metrics": {"mem.cache.lookup.calls": 10}}
+    assert result["traced"]["change"]["failed"] == 1
+    assert result["all_correct"] is False  # the change's traced run failed its checks
+
+
+def test_a_side_runs_perfbench_with_the_trace_switch(tool, monkeypatch):
+    seen = []
+
+    class Done:
+        returncode = 0
+        stdout = '{"correct": true, "failed": 0, "metrics": {"x": {"value": 2, "unit": "s"}}}\n'
+        stderr = ""
+
+    def fake_run(cmd, **kwargs):
+        seen.append((cmd, kwargs["cwd"]))
+        return Done()
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.run_side("tree", "sysio", 0, 30, trace=True) == {
+        "correct": True, "failed": 0, "metrics": {"x": 2}}
+    tool.run_side("tree", "sysio", 0, 30)
+    (traced, cwd), (untraced, _) = seen
+    assert cwd == "tree" and traced[1:] == [
+        "perfbench/run.py", "--workload", "sysio", "--seed", "0", "--seconds", "30", "--trace", "1"]
+    assert untraced[-2:] == ["--trace", "0"]
 
 
 def test_host_loop_takes_measurable_time(tool):

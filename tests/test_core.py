@@ -10,6 +10,7 @@ from tilesim.asm import assemble
 from tilesim.config import TimingConfig, load_config
 from tilesim.errors import ConfigError, MemoryFault, SimError
 from tilesim.rv32.core import RunState, Rv32Core
+from tilesim.rv32.insn import encode
 
 
 class FlatPort:
@@ -52,12 +53,11 @@ def make_core(source, **kwargs):
 
 
 def run_steps(core, n):
-    results = []
+    """Run up to n steps, stopping early once the core halts."""
     for _ in range(n):
         if core.run_state is not RunState.RUNNING:
             break
-        results.append(core.step())
-    return results
+        core.step()
 
 
 def test_addi_writes_register():
@@ -278,11 +278,67 @@ def test_bad_class_timing_fails_at_config_load(tmp_path):
         load_config(str(path))
 
 
-# -- property tests ------------------------------------------------------------
+# Every trap kind: its source, a word of its halt reason, and the (fetch, exec)
+# split of the trapping step with fetch=6 and the default execution table
+# (load/store 5, system 0)
+_TRAPS = {
+    "misaligned fetch": ("li t0, 0x10002\n jr t0", "misaligned fetch", (0, 0)),
+    "fetch fault": ("li t0, 0x200000\n jr t0", "fetch fault", (0, 0)),  # past FlatPort's 1 MB
+    "decode error": (None, "0xffffffff", (6, 0)),
+    "misaligned load": ("li t0, 0x20001\n lw t1, 0(t0)", "misaligned load", (6, 5)),
+    "misaligned store": ("li t0, 0x20002\n sw t0, 0(t0)", "misaligned store", (6, 5)),
+    "load fault": ("li t0, 0xFF000000\n lw t1, 0(t0)", "load fault", (6, 5)),
+    "store fault": ("li t0, 0xFF000000\n sw t1, 0(t0)", "store fault", (6, 5)),
+    "ecall": ("ecall", "ecall", (6, 0)),
+    "csr write": ("csrrw a0, cycle, t0", "csr write attempt", (6, 0)),
+    "unknown csr": ("csrrs a0, 0x300, x0", "csr 0x300", (6, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TRAPS))
+def test_a_trapping_step_splits_its_cycles(kind):
+    source, reason, split = _TRAPS[kind]
+    core, port = make_core(source or "nop", fetch_cycles=6)
+    if source is None:
+        port.mem[0x1_0000:0x1_0004] = (0xFFFFFFFF).to_bytes(4, "little")
+    total = 0
+    while core.run_state is RunState.RUNNING:
+        r = core.step()
+        assert r.cycles == r.fetch_cycles + r.exec_cycles + r.data_cycles
+        total += r.cycles
+    assert r.trap is not None and reason in core.halt_reason
+    assert (r.fetch_cycles, r.exec_cycles, r.data_cycles) == (*split, 0)
+    assert core.cycle_counter == total
+
 
 _ALU_RR = ["add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and"]
 _ALU_RI = ["addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai"]
+_EDGES = (0, 1, -1, 0x7FFFFFFF, 0x80000000)
+_SHIFT_AMOUNTS = (0, 31, 32, 33)
 
+
+@pytest.mark.parametrize("op", _ALU_RR + _ALU_RI)
+def test_alu_table_matches_the_oracle_on_edge_values(op):
+    """Every OP and OP_IMM mnemonic on edge operands; register shift amounts
+    of 32 and more must wrap mod 32."""
+    port = FlatPort()
+    core = Rv32Core(port=port, reset_vector=0x1_0000)
+    core.deliver_start_interrupt()
+    if op in _ALU_RR:
+        cases = [(encode(op, rd=7, rs1=5, rs2=6), b) for b in _EDGES + _SHIFT_AMOUNTS]
+    else:
+        imms = (0, 1, 31) if op in ("slli", "srli", "srai") else (0, 1, -1, 2047, -2048)
+        cases = [(encode(op, rd=7, rs1=5, imm=imm), imm) for imm in imms]
+    for word, b in cases:
+        port.mem[0x1_0000:0x1_0004] = word.to_bytes(4, "little")
+        for a in _EDGES:
+            core.pc = 0x1_0000
+            core.regs[5], core.regs[6] = a & 0xFFFFFFFF, b & 0xFFFFFFFF
+            core.step()
+            assert core.regs[7] == rvoracle.alu(op, a, b), (op, hex(a), b)
+
+
+# -- property tests ------------------------------------------------------------
 
 @given(
     op=st.sampled_from(_ALU_RR),

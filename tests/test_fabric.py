@@ -93,6 +93,28 @@ def test_jitter_envelope_and_seed_determinism():
     assert sequence(7) != sequence(8)  # 20 draws of 3 values: these two seeds differ
 
 
+@pytest.mark.parametrize("jitter", [0, 1, 3])
+def test_dram_draws_latencies_as_randint_does(jitter):
+    """A DRAM read takes one of the outcomes built with the fabric, drawn from
+    the seeded stream exactly as `randint(-jitter, jitter)` draws; without
+    jitter it draws nothing."""
+    fabric = make_fabric(jitter=jitter, seed=11)
+    reference = random.Random(11)
+    access = fabric.config.timing.dram_access_cycles
+    for i in range(60):
+        _, tx = fabric.dram_read(i * 16)
+        assert tx.latency == access + (reference.randint(-jitter, jitter) if jitter else 0)
+        assert tx.serviced_by == SERVICED_DRAM
+        assert any(tx is built for built in fabric.dram_outcomes)
+    assert fabric.rng.getstate() == reference.getstate()
+    assert len(fabric.dram_outcomes) == 2 * jitter + 1
+    # a miss to DRAM and one to the L2 return outcomes built with the fabric
+    _, tx = fabric.access(1, "load", 0x8000, 4)
+    assert any(tx is built for built in fabric.dram_outcomes)
+    _, tx = fabric.access(0, "load", 0x8000, 4)
+    assert tx is fabric.l2_hit and tx.latency == fabric.config.timing.l15_to_l2_cycles
+
+
 def test_store_hit_after_write_allocate():
     fabric = make_fabric(jitter=0)
     port = guest_port(fabric)
@@ -368,8 +390,8 @@ def test_timing_closure_classification():
 
 
 def test_every_hit_returns_the_one_outcome_built_with_the_fabric():
-    """A hit allocates no outcome; a miss builds its own, since DRAM jitter
-    varies its latency. The outcomes are the ones each access traces."""
+    """A hit returns the fabric's one hit outcome, a miss another that was
+    built with the fabric. The outcomes are the ones each access traces."""
     fabric = make_fabric(jitter=1, trace=lambda _line: None)
     outcomes = []
     fabric.trace_mem = lambda now, tile, kind, addr, data, tx: outcomes.append(tx)

@@ -12,7 +12,11 @@ as a subprocess, one at a time, with the workloads and the run length S
 (`run_seconds`) that BENCHMARK.json sets. For every workload and seed it
 runs PAIRS pairs, alternating which side goes first, and writes for each
 end-to-end metric of BENCHMARK.json each side's median, quartiles and best,
-and the number of pairs in which the change did better. Each tree's
+and the number of pairs in which the change did better. After the pairs, each
+side makes one traced run (`--trace 1`, same S): the file records its
+`correct` and `failed` and every per-layer metric, so the benchmark's traced
+checks (the core's cycle split among them) gate each record, and the layer
+counts show where a change saved work. Each tree's
 `src/tilesim/**/*.py` line count goes in the file too, counted the same way
 on both sides, and so do host facts (Python version, CPU count and model),
 since the numbers mean nothing on another machine.
@@ -118,14 +122,14 @@ def unpack(rev: str, workdir: str) -> str:
     return tree
 
 
-def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_side(tree: str, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"bench_compare: {' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"correct": result["correct"],
+    return {"correct": result["correct"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -141,10 +145,16 @@ def compare(trees: dict, workload: str, seed: int, seconds: float,
         print(f"{workload} seed={seed} pair {i + 1}/{PAIRS}: " + ", ".join(
             f"{name} {runs[name][-1]['metrics']['guest_kips']:.1f} kIPS"
             for name in ("parent", "change")), file=sys.stderr)
+    traced = {name: run_side(trees[name], workload, seed, seconds, trace=True)
+              for name in ("parent", "change")}
+    print(f"{workload} seed={seed} traced: " + ", ".join(
+        f"{name} correct={traced[name]['correct']}" for name in traced), file=sys.stderr)
     return {
         "workload": workload,
         "seed": seed,
-        "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "all_correct": all(r["correct"] for side in runs.values() for r in side)
+        and all(r["correct"] for r in traced.values()),
+        "traced": traced,
         "host_loop_s": {name: {"median": statistics.median(samples), "samples": samples}
                         for name, samples in loops.items()},
         "metrics": {m["name"]: {"unit": m["unit"], "better": m["better"], **summarize(
