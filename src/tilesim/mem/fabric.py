@@ -468,7 +468,7 @@ class MemoryFabric:
                         f"single-writer violated at 0x{line_addr:08x}: "
                         + ", ".join(f"tile{t}={ln.state.value}" for t, ln in valid)
                     )
-        entry = self.l2[(line_addr // self.line_size) % self.n_tiles].index.get(line_addr)
+        entry = self.l2[self.home_of(line_addr)].index.get(line_addr)
         for t, ln in valid:
             if entry is None:
                 raise ProtocolError(f"0x{line_addr:08x} cached by tile {t} but untracked")
