@@ -28,6 +28,10 @@ reproduce byte for byte.
   three perfbench workloads at seeds 0 and 1. An assembler change that
   claims to move no program must leave every byte in place.
 
+Every trace is locked by `trace_digest`: its whole-file sha256 plus, per record
+type, a line count and a sha256 over that type's lines in order. A moved
+trace then shows which record types moved, and whether only their order did.
+
 The files under tests/golden/ change only in a commit of their own that says
 why the model moved.
 """
@@ -63,11 +67,29 @@ def load_golden(name: str) -> dict:
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
 
+TRACE_TYPES = ("MEM", "COH", "DIR", "IRQ", "HOST", "SYS", "WARN")
+
+
+def trace_digest(trace: bytes) -> dict:
+    """A trace's whole-file sha256 and, for each record type, its line count
+    and a sha256 over that type's lines in order. When a golden trace moves,
+    the failing compare names the types that moved and says whether only
+    their order changed (equal counts) or their content too."""
+    by_type = {kind: [] for kind in TRACE_TYPES}
+    for line in trace.decode().splitlines():
+        kind = line.split(" ", 1)[0]
+        assert kind in by_type, f"trace line of unknown type: {line!r}"
+        by_type[kind].append(line)
+    return {"sha256": sha256(trace),
+            **{kind: {"lines": len(lines), "sha256": sha256("\n".join(lines).encode())}
+               for kind, lines in by_type.items()}}
+
+
 def corpus_digests(stats, stdout: bytes, trace_path: str) -> dict:
     return {
         "stats": sha256(stats.to_json().encode()),
         "stdout": sha256(stdout),
-        "trace": sha256(Path(trace_path).read_bytes()),
+        "trace": trace_digest(Path(trace_path).read_bytes()),
     }
 
 
@@ -101,7 +123,8 @@ def test_start_schedule_on_layout_matches_golden(layout, tmp_path):
                        if line.startswith("MEM cycle=") and f" tile={guest} kind=ifetch" in line)
     assert first_fetch.startswith(f"MEM cycle={deliver} ")
 
-    got = {"stats": sha256(stats.to_json().encode()), "trace": sha256(trace_path.read_bytes())}
+    got = {"stats": sha256(stats.to_json().encode()),
+           "trace": trace_digest(trace_path.read_bytes())}
     assert got == load_golden("layouts.json")[layout]
 
 
@@ -157,7 +180,7 @@ def test_multi_guest_hammer_matches_golden():
     assert reached >= {f"Downgrade:{M}", f"Invalidate:{M}", f"Invalidate:{S}",
                        "Invalidate:stale", f"L2 recall:{M}", f"L2 recall:{S}", "Writeback"}
     got = {
-        "trace": sha256("\n".join(lines).encode()),
+        "trace": trace_digest("\n".join(lines).encode()),
         "stats": sha256(json.dumps({k: n for k, n in fabric.counts().items() if n},
                                    sort_keys=True).encode()),
     }
