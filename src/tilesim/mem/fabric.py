@@ -9,21 +9,25 @@ holders, so no cached copies (the data may sit in the L2). Shared: the
 holders are the sharers. Modified: the one holder is the owner.
 
 A memory operation is one atomic transaction that completes before the next
-scheduler event, so the directory has no transient states. A miss runs as one
-chain of direct calls. Each step sends its message on the mesh, which counts
-and traces it and carries nothing, and then calls the handler at the far end:
+scheduler event, so the directory has no transient states. A miss runs in one
+body, `access`, as a chain of direct calls. Each step sends its message on the
+mesh, which counts and traces it and carries nothing, and then calls the
+handler at the far end:
 
     request     the requester sends GetShared/GetModified to the line's home
                 (`directory_handle`)
     recalls     the home fetches the line into its L2 slice (from DRAM, first
                 recalling an L2 victim from its holders), then downgrades the
-                owner or invalidates the other holders (`cache_handle`); each
-                acks and returns the data of a Modified copy
+                owner or invalidates the other holders (`cache_handle`)
     data reply  the home moves the directory entry, sends DataShared or
                 DataModified and returns the line's data to the requester
     install     the requester's cache installs the line, first writing back
                 a Modified victim to that victim's home (`_writeback`), or
-                upgrades its own Shared copy; the chain returns the line
+                upgrades its own Shared copy; `access` returns the line
+
+Every recall (`_recall`: a downgrade, an invalidation, an L2 victim's) sends
+to each tile in tile order, all before the first ack, and takes the data of a
+Modified copy, which must come back.
 
 Hits are served at the port and change no coherence state: FabricPort probes
 its tile's L1.5 once, counts the hit, does the data work and takes the outcome
@@ -50,8 +54,7 @@ draws one with `rng.choice`, the one draw `randint(-jitter, jitter)` takes
 Shared-state evictions are silent, so a Shared line's holders may be a stale
 superset of its sharers; an Invalidate to a non-holder is acked without state
 change. Modified evictions write back on channel 3 and are never silent, so
-ownership is never stale. L2 evictions recall the line from any holders first
-(inclusion), then write DRAM.
+ownership is never stale.
 
 Byte lanes: the little-endian guest core reaches the big-endian fabric through
 a byte-lane converter whose effect is that guest data is stored little-endian
@@ -253,7 +256,17 @@ class MemoryFabric:
         self.l15_counts[tile][side] += 1
         self.l15_counts[tile][side + 2] += 1  # misses
         op = "GetModified" if kind == KIND_STORE else "GetShared"
-        line, tx = self._transact(tile, line, line_addr, op, now)
+        home = self.home_of(line_addr)
+        self.noc.transfer(op, tile, home, line_addr, now)
+        data, tx = self.directory_handle(home, op, tile, line_addr, now)
+        if line is not None:  # upgrade in place; install makes a new line most recent
+            line.state = MODIFIED
+            line.data = bytearray(data)
+            self.l15[tile].touch(line)
+        else:
+            state = MODIFIED if kind == KIND_STORE else SHARED
+            line = self._install_l15(tile, line_addr, data, state, now)
+        self._check_line_invariants(line_addr)
         if kind == KIND_STORE and line.state is not MODIFIED:
             raise ProtocolError(f"store granted on non-M line 0x{line_addr:08x}")
         return line, tx
@@ -301,26 +314,6 @@ class MemoryFabric:
                 cb(addr + at, out[at : at + 1], tile, now + at * hit)
         return out, n * hit
 
-    # -- transaction driver ------------------------------------------------------
-
-    def _transact(self, tile: int, line: CacheLine | None, line_addr: int, op: str,
-                  now: int) -> tuple[CacheLine, MemoryTransaction]:
-        """Run one miss: request, recalls, data reply, install. `line` is the
-        tile's Shared copy that a GetModified upgrades, or None. Returns the
-        tile's line and the miss's outcome: who serviced it, at what latency."""
-        home = self.home_of(line_addr)
-        self.noc.transfer(op, tile, home, line_addr, now)
-        data, tx = self.directory_handle(home, op, tile, line_addr, now)
-        if line is not None:  # upgrade in place; install makes a new line most recent
-            line.state = MODIFIED
-            line.data = bytearray(data)
-            self.l15[tile].touch(line)
-        else:
-            state = SHARED if op == "GetShared" else MODIFIED
-            line = self._install_l15(tile, line_addr, data, state, now)
-        self._check_line_invariants(line_addr)
-        return line, tx
-
     # -- directory side ------------------------------------------------------------
 
     def directory_handle(self, home: int, op: str, src: int, line_addr: int,
@@ -332,27 +325,31 @@ class MemoryFabric:
         holders = l2line.holders
         if op == "GetShared":
             if l2line.state is MODIFIED:
-                (owner,) = holders
-                self.noc.transfer("Downgrade", home, owner, line_addr, now)
-                data = self.cache_handle(owner, "Downgrade", home, line_addr, now)
-                l2line.data = bytearray(data)
-            self._transition(home, l2line, SHARED, holders | {src}, now)
-            reply = "DataShared"
+                self._recall(home, l2line, "Downgrade", holders, now)
+            state, holders, reply = SHARED, holders | {src}, "DataShared"
         else:
             if l2line.state is MODIFIED and src in holders:
                 raise ProtocolError(f"owner re-requested M for 0x{line_addr:08x}")
-            recalled = sorted(holders - {src})
-            # every Invalidate goes out before the first ack comes back
-            for t in recalled:
-                self.noc.transfer("Invalidate", home, t, line_addr, now)
-            for t in recalled:
-                data = self.cache_handle(t, "Invalidate", home, line_addr, now)
-                if data is not None:
-                    l2line.data = bytearray(data)
-            self._transition(home, l2line, MODIFIED, frozenset({src}), now)
-            reply = "DataModified"
+            self._recall(home, l2line, "Invalidate", holders - {src}, now)
+            state, holders, reply = MODIFIED, frozenset({src}), "DataModified"
+        self._transition(home, l2line, state, holders, now)
         self.noc.transfer(reply, home, src, line_addr, now)
         return l2line.data, tx
+
+    def _recall(self, home: int, l2line: CacheLine, op: str, tiles: frozenset[int], now: int):
+        """Send `op` (Downgrade or Invalidate) to every one of `tiles`, in tile
+        order and all before the first ack; the L2 line takes the data of a
+        Modified copy, which the recall of a Modified line must bring back."""
+        line_addr = l2line.addr
+        tiles = sorted(tiles)
+        for t in tiles:
+            self.noc.transfer(op, home, t, line_addr, now)
+        for t in tiles:
+            data = self.cache_handle(t, op, home, line_addr, now)
+            if data is not None:
+                l2line.data = bytearray(data)
+            elif l2line.state is MODIFIED:
+                raise ProtocolError(f"recall of 0x{line_addr:08x} returned no data")
 
     def _writeback(self, tile: int, line_addr: int, data: bytearray, now: int):
         """`tile` writes its Modified copy back to the home, which takes the
@@ -437,18 +434,11 @@ class MemoryFabric:
         return slice_.install(line_addr, data, INVALID), tx
 
     def _evict_l2(self, home: int, victim: CacheLine, now: int):
-        """Inclusion: recall/invalidate all cached copies, then write DRAM."""
-        line_addr = victim.addr
-        for tile in sorted(victim.holders):
-            self.noc.transfer("Invalidate", home, tile, line_addr, now)
-            data = self.cache_handle(tile, "Invalidate", home, line_addr, now)
-            if data is not None:
-                victim.data = bytearray(data)
-            elif victim.state is MODIFIED:
-                raise ProtocolError(f"recall of 0x{line_addr:08x} returned no data")
-        self.dram_write(line_addr, victim.data)
+        """Inclusion: recall every cached copy, then write DRAM."""
+        self._recall(home, victim, "Invalidate", victim.holders, now)
+        self.dram_write(victim.addr, victim.data)
         self.l2[home].remove(victim)
-        self._check_line_invariants(line_addr)
+        self._check_line_invariants(victim.addr)
 
     # -- invariants ---------------------------------------------------------------------
 

@@ -316,11 +316,32 @@ def test_directory_finds_an_owner_that_re_requests_modified():
 
 
 def test_l2_eviction_finds_a_recall_of_modified_that_returns_no_data():
-    fabric = make_fabric(n_guests=2)
-    guest_port(fabric, 1).store(LINE, 4, 1)
-    fabric.l15[1].remove(fabric.l15[1].lookup(LINE))  # a silent Modified eviction
-    with pytest.raises(ProtocolError, match="recall of 0x00001000 returned no data"):
-        fabric._evict_l2(fabric.home_of(LINE), l2_line(fabric), 0)
+    """An L2 eviction and another tile's GetModified both recall the Modified
+    line; a recall that brings no data back fails either way, rather than
+    dropping the owner's write."""
+    for recall in (lambda fabric: fabric._evict_l2(fabric.home_of(LINE), l2_line(fabric), 0),
+                   lambda fabric: guest_port(fabric, 2).store(LINE, 4, 2)):
+        fabric = make_fabric(n_guests=2)
+        guest_port(fabric, 1).store(LINE, 4, 1)
+        fabric.l15[1].remove(fabric.l15[1].lookup(LINE))  # a silent Modified eviction
+        with pytest.raises(ProtocolError, match="recall of 0x00001000 returned no data"):
+            recall(fabric)
+
+
+def test_l2_eviction_sends_every_invalidate_before_the_first_ack():
+    """An inclusion recall is the same protocol as a GetModified's: the home
+    sends every holder its Invalidate, in tile order, before any ack."""
+    lines = []
+    fabric = make_fabric(n_guests=2, trace=lines.append)
+    guest_port(fabric, 1).load(LINE, 4)
+    guest_port(fabric, 2).load(LINE, 4)
+    assert l2_line(fabric).holders == {1, 2}
+    del lines[:]
+    home = fabric.home_of(LINE)
+    fabric._evict_l2(home, l2_line(fabric), 0)
+    sent = [" ".join(line.split()[3:6]) for line in lines if line.startswith("COH ")]
+    assert sent == [f"Invalidate src={home} dst=1", f"Invalidate src={home} dst=2",
+                    f"InvalidateAck src=1 dst={home}", f"InvalidateAck src=2 dst={home}"]
 
 
 def test_downgrade_to_non_owner_asserts():
