@@ -110,7 +110,6 @@ class MachineConfig:
     timing: TimingConfig = field(default_factory=TimingConfig)
     guest_base: int = 0x0001_0000
     guest_region_size: int = 4 * 1024 * 1024
-    reset_vector: int = 0x0001_0000
     stack_size: int = 64 * 1024
     poll_interval: int = 50
     seed: int = 0

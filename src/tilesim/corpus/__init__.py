@@ -46,7 +46,7 @@ def build_program(sources: list[str], config: MachineConfig,
     defines = standard_defines(config)
     defines.update(extra or {})
     program = assemble(sources, base=config.guest_base, defines=defines)
-    if program.entry != config.reset_vector:
+    if program.entry != config.guest_base:
         raise SimError("corpus program entry must equal the reset vector")
     return program_to_elf(program)
 

@@ -26,19 +26,16 @@ from .syscalls import ExitRequest, SyscallHandler
 
 @dataclass
 class GuestImage:
-    """A validated ELF: entry matches the reset vector, segments fit the region."""
+    """A validated ELF: entry at the reset vector (the region base), segments fit the region."""
 
     elf: ElfImage
     stack_size: int
 
     @classmethod
-    def validate(cls, elf: ElfImage, region: GuestRegion, reset_vector: int,
-                 stack_size: int) -> "GuestImage":
-        if elf.entry != reset_vector:
-            raise LoadError(
-                f"entry 0x{elf.entry:08x} does not match the reset vector"
-                f" 0x{reset_vector:08x}"
-            )
+    def validate(cls, elf: ElfImage, region: GuestRegion, stack_size: int) -> "GuestImage":
+        if elf.entry != region.base:
+            raise LoadError(f"entry 0x{elf.entry:08x} does not match the reset vector"
+                            f" 0x{region.base:08x}")
         stack_guard = region.mailbox_addr - stack_size
         for seg in elf.segments:
             if seg.vaddr < region.base or seg.vaddr + seg.memsz > region.top:
@@ -155,8 +152,7 @@ class HostAgent:
         build the syscall handler, start the guest."""
         region = self.pico_setup()
         elf = self.machine.parse_binary()  # raises LoadError with step naming
-        image = GuestImage.validate(elf, region, self.config.reset_vector,
-                                    self.config.stack_size)
+        image = GuestImage.validate(elf, region, self.config.stack_size)
         self.load_binary(image)
         self.handler = SyscallHandler(
             sandbox_dir=self.machine.sandbox_dir,

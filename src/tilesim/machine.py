@@ -51,7 +51,7 @@ class CoreAgent:
         cfg = machine.config
         self.port = FabricPort(machine.fabric, tile)
         self.port.now_fn = lambda: self.time
-        self.core = Rv32Core(port=self.port, reset_vector=cfg.reset_vector, timing=cfg.timing)
+        self.core = Rv32Core(port=self.port, reset_vector=cfg.guest_base, timing=cfg.timing)
         self.time = 0
 
     def wake(self, at: int):

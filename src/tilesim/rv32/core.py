@@ -18,7 +18,7 @@ there is no trap handler to vector to.
 
 Each instruction word is decoded once, into a handler bound to its operands
 as ints (registers, the masked immediate), kept in a dict from word to
-(handler, Instruction, execution cycles) that a step dispatches from; an ALU
+(handler, execution cycles) that a step dispatches from; an ALU
 op is one `operator` function call, masked to 32 bits. Every step still
 fetches through the port, so fetch timing and the word come from memory.
 Keyed by word, not by pc, the dict needs no invalidation: after a store over
@@ -55,14 +55,12 @@ HELD_IN_RESET, RUNNING, HALTED = RunState
 
 @dataclass(slots=True)
 class StepResult:
-    """One step's cycles and their split, its instruction and any trap reason."""
+    """One step's cycles and their split; a trap halts the core with `halt_reason`."""
 
     cycles: int
     fetch_cycles: int = 0
     exec_cycles: int = 0
     data_cycles: int = 0
-    instruction: Instruction | None = None
-    trap: str | None = None
 
 
 @dataclass
@@ -99,7 +97,7 @@ class Rv32Core:
             OpClass.SYSTEM: t.system_cycles,  # CSR reads; ecall/ebreak halt anyway
             OpClass.LOAD: t.load_store_exec_cycles, OpClass.STORE: t.load_store_exec_cycles,
         }
-        self._decoded: dict[int, tuple] = {}  # word -> (handler, Instruction, exec cycles)
+        self._decoded: dict[int, tuple] = {}  # word -> (handler, exec cycles)
         self.result = StepResult(0)
 
     # -- run-state transitions -------------------------------------------------
@@ -135,8 +133,8 @@ class Rv32Core:
                     insn = decode(word, pc)
                 except DecodeError as err:
                     raise _Trap(str(err), f_cycles) from err
-                entry = self._decoded[word] = (_bind(insn), insn, self.exec_cycles[insn.opclass])
-            handler, r.instruction, e_cycles = entry
+                entry = self._decoded[word] = (_bind(insn), self.exec_cycles[insn.opclass])
+            handler, e_cycles = entry
             r.data_cycles = 0  # a load or store handler sets its own
             cycles = f_cycles + e_cycles
             next_pc = handler(self, pc, cycles)
@@ -144,14 +142,14 @@ class Rv32Core:
             self.run_state, self.halt_reason = HALTED, f"trap: {trap.reason} @pc=0x{pc:08x}"
             self.cycle_counter += trap.cycles
             r.cycles, r.fetch_cycles, r.exec_cycles = trap.cycles, f_cycles, trap.cycles - f_cycles
-            r.data_cycles, r.instruction, r.trap = 0, None, trap.reason
+            r.data_cycles = 0
             return r
         self.regs[0] = 0
         self.pc = next_pc & M32
         cycles += r.data_cycles
         self.cycle_counter += cycles
         self.instret += 1
-        r.cycles, r.fetch_cycles, r.exec_cycles, r.trap = cycles, f_cycles, e_cycles, None
+        r.cycles, r.fetch_cycles, r.exec_cycles = cycles, f_cycles, e_cycles
         return r
 
 

@@ -61,3 +61,11 @@ def test_load_config_rejects_a_root_that_is_not_an_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="config root must be a JSON object"):
         load_config(str(path))
+
+
+def test_load_config_rejects_the_deleted_reset_vector_key(tmp_path):
+    """The guest leaves reset at guest_base, so no config may name a reset vector."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"reset_vector": 65536}')
+    with pytest.raises(ConfigError, match="unknown config key reset_vector"):
+        load_config(str(path))

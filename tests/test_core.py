@@ -10,7 +10,7 @@ from tilesim.asm import assemble
 from tilesim.config import TimingConfig, load_config
 from tilesim.errors import ConfigError, MemoryFault, SimError
 from tilesim.rv32.core import RunState, Rv32Core
-from tilesim.rv32.insn import encode
+from tilesim.rv32.insn import decode, encode
 
 
 class FlatPort:
@@ -306,7 +306,7 @@ def test_a_trapping_step_splits_its_cycles(kind):
         r = core.step()
         assert r.cycles == r.fetch_cycles + r.exec_cycles + r.data_cycles
         total += r.cycles
-    assert r.trap is not None and reason in core.halt_reason
+    assert core.halt_reason is not None and reason in core.halt_reason
     assert (r.fetch_cycles, r.exec_cycles, r.data_cycles) == (*split, 0)
     assert core.cycle_counter == total
 
@@ -405,14 +405,16 @@ def test_instrumented_cycle_delta_equals_sum_of_parts():
     ops = ["addi x1, x0, 1", "add x2, x1, x1", "lui x3, 4", "nop",
            "li t0, 0x20000", "lw t1, 0(t0)", "sw t1, 4(t0)", "fence", "rdcycle a0"]
     src = "\n".join(rng.choice(ops) for _ in range(60))
-    core, _ = make_core(src)
+    core, port = make_core(src)
     total = 0
     for _ in range(60):
         if core.run_state is not RunState.RUNNING:
             break
+        word = int.from_bytes(port.mem[core.pc : core.pc + 4], "little")
+        opclass = decode(word, core.pc).opclass
         r = core.step()
         assert r.cycles == r.fetch_cycles + r.exec_cycles + r.data_cycles
-        assert (r.data_cycles > 0) == (r.instruction.opclass.value in ("load", "store"))
+        assert (r.data_cycles > 0) == (opclass.value in ("load", "store"))
         total += r.cycles
     assert core.cycle_counter == total
 
@@ -457,16 +459,16 @@ def test_store_over_code_runs_the_new_word_through_the_fabric():
     config = MachineConfig()
     config.validate()
     fabric = MemoryFabric(config, Noc(config.mesh, len(config.tiles)))
-    prog = assemble(_STORE_TO_CODE, base=config.reset_vector)
+    prog = assemble(_STORE_TO_CODE, base=config.guest_base)
     loader = FabricPort(fabric, config.host_tile())
     for off in range(0, len(prog.data), 4):
         loader.store(prog.base + off, 4, int.from_bytes(prog.data[off : off + 4], "little"))
     guest = config.guest_tile()
-    core = Rv32Core(port=FabricPort(fabric, guest), reset_vector=config.reset_vector)
+    core = Rv32Core(port=FabricPort(fabric, guest), reset_vector=config.guest_base)
     core.deliver_start_interrupt()
     _run_store_to_code(core)
     # the fetches and the store met in the guest's private cache
-    assert fabric.l15[guest].lookup(config.reset_vector).state.value == "M"
+    assert fabric.l15[guest].lookup(config.guest_base).state.value == "M"
     assert fabric.counts()[f"l15.tile{guest}.ifetch_hits"] > 0
 
 

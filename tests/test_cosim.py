@@ -21,6 +21,7 @@ from tilesim.config import MachineConfig
 from tilesim.elf import parse_elf
 from tilesim.harness import _suite_config, bundled_suite_elves
 from tilesim.machine import Machine
+from tilesim.rv32.core import HALTED, RUNNING
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,7 +30,7 @@ def lockstep(machine) -> cosim.FlatCpu:
     """Wrap the machine's guest core, the host's port and the fabric; returns
     the stepper."""
     core, fabric, port = machine.guest.core, machine.fabric, machine.host.port
-    ref = cosim.FlatCpu(len(fabric.dram), machine.config.reset_vector)
+    ref = cosim.FlatCpu(len(fabric.dram), machine.config.guest_base)
     host = machine.config.host_tile()
     store, byte_hits, step = port.store, fabric.byte_hits, core.step
 
@@ -50,9 +51,10 @@ def lockstep(machine) -> cosim.FlatCpu:
         try:
             ref.step(lambda: core.cycle_counter)  # the counter after this step
         except cosim.Trap as trap:
-            assert result.trap is not None, f"core ran what the stepper traps on: {trap}"
+            assert core.run_state is HALTED, f"core ran what the stepper traps on: {trap}"
         else:
-            assert result.trap is None, f"core trapped where the stepper ran: {result.trap}"
+            assert core.run_state is RUNNING, (
+                f"core trapped where the stepper ran: {core.halt_reason}")
         assert core.pc == ref.pc, f"pc after 0x{pc:08x}"
         assert core.regs == ref.regs, f"registers after 0x{pc:08x}"
         assert core.instret == ref.instret

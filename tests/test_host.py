@@ -82,26 +82,26 @@ def test_load_rejects_wrong_entry():
     m = Machine(cfg, binary=_blob("nop", cfg, base=cfg.guest_base + 0x100))
     region = m.host.pico_setup()
     with pytest.raises(LoadError, match="reset vector"):
-        GuestImage.validate(m.parse_binary(), region, cfg.reset_vector, cfg.stack_size)
+        GuestImage.validate(m.parse_binary(), region, cfg.stack_size)
 
 
 def test_load_rejects_segment_outside_region():
     cfg = small_config()
     image = elfmod.ElfImage(
-        entry=cfg.reset_vector,
+        entry=cfg.guest_base,
         segments=[elfmod.Segment(cfg.guest_base - 0x1000, b"\x13\x00\x00\x00", 4)],
         symbols={},
     )
     region = GuestRegion(cfg.guest_base, cfg.guest_region_size)
     with pytest.raises(LoadError, match="outside the guest region"):
-        GuestImage.validate(image, region, cfg.reset_vector, cfg.stack_size)
+        GuestImage.validate(image, region, cfg.stack_size)
 
 
 def test_load_rejects_mailbox_overlap():
     cfg = small_config()
     mailbox_addr = cfg.guest_base + cfg.guest_region_size - 64
     image = elfmod.ElfImage(
-        entry=cfg.reset_vector,
+        entry=cfg.guest_base,
         segments=[
             elfmod.Segment(cfg.guest_base, b"\x13\x00\x00\x00", 4),
             elfmod.Segment(mailbox_addr, b"\x00" * 8, 8),
@@ -110,7 +110,7 @@ def test_load_rejects_mailbox_overlap():
     )
     region = GuestRegion(cfg.guest_base, cfg.guest_region_size)
     with pytest.raises(LoadError, match="mailbox|stack"):
-        GuestImage.validate(image, region, cfg.reset_vector, cfg.stack_size)
+        GuestImage.validate(image, region, cfg.stack_size)
 
 
 def test_loader_roundtrip_through_fabric():
@@ -122,7 +122,7 @@ def test_loader_roundtrip_through_fabric():
     blob = program_to_elf(program)
     m = Machine(cfg, binary=blob)
     region = m.host.pico_setup()
-    image = GuestImage.validate(m.parse_binary(), region, cfg.reset_vector, cfg.stack_size)
+    image = GuestImage.validate(m.parse_binary(), region, cfg.stack_size)
     m.host.load_binary(image)
     # hand-load an extra blob via the host helpers
     addr = cfg.guest_base + 0x4000
