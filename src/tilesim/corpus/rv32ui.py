@@ -40,32 +40,19 @@ def _s32(x: int) -> int:
     return x - (1 << 32) if x & 0x80000000 else x
 
 
+# reference two-operand semantics on unsigned 32-bit operands; shifts use the low 5 bits
+_REF = {
+    "add": lambda a, b: (a + b) & M32, "sub": lambda a, b: (a - b) & M32,
+    "and": lambda a, b: a & b, "or": lambda a, b: a | b, "xor": lambda a, b: a ^ b,
+    "sll": lambda a, b: (a << (b & 31)) & M32, "srl": lambda a, b: a >> (b & 31),
+    "sra": lambda a, b: (_s32(a) >> (b & 31)) & M32,
+    "slt": lambda a, b: int(_s32(a) < _s32(b)), "sltu": lambda a, b: int(a < b),
+}
+
+
 def _ref(op: str, a: int, b: int) -> int:
-    """Reference two-operand semantics (shift amounts use the low 5 bits)."""
-    a &= M32
-    b &= M32
-    sh = b & 31
-    if op in ("add", "addi"):
-        return (a + b) & M32
-    if op == "sub":
-        return (a - b) & M32
-    if op in ("and", "andi"):
-        return a & b
-    if op in ("or", "ori"):
-        return a | b
-    if op in ("xor", "xori"):
-        return a ^ b
-    if op in ("sll", "slli"):
-        return (a << sh) & M32
-    if op in ("srl", "srli"):
-        return a >> sh
-    if op in ("sra", "srai"):
-        return (_s32(a) >> sh) & M32
-    if op in ("slt", "slti"):
-        return int(_s32(a) < _s32(b))
-    if op in ("sltu", "sltiu"):
-        return int(a < b)
-    raise KeyError(op)
+    """An op, or an immediate form as its base op (addi -> add, sltiu -> sltu)."""
+    return _REF[op.replace("i", "", 1)](a & M32, b & M32)
 
 
 _PAIRS = [
@@ -138,21 +125,8 @@ def _rr_test(op: str) -> str:
 
 def _imm_test(op: str) -> str:
     b = _Builder()
-    base_op = op[:-1]
-    values = [0, 1, 0xFFFFFFFF, 0x7FFFFFFF, 0x80000000, 0x12345678]
-    if op in ("slli", "srli", "srai"):
-        for a in values:
-            for sh in _SHAMTS:
-                b.case([
-                    f"    li   x11, {a}",
-                    f"    {op} x13, x11, {sh}",
-                    f"    li   x14, {_ref(op, a, sh)}",
-                    "    bne  x13, x14, fail",
-                ])
-        return b.source()
-    del base_op
-    for a in values:
-        for imm in _IMMEDIATES:
+    for a in [0, 1, 0xFFFFFFFF, 0x7FFFFFFF, 0x80000000, 0x12345678]:
+        for imm in _SHAMTS if op in ("slli", "srli", "srai") else _IMMEDIATES:
             b.case([
                 f"    li   x11, {a}",
                 f"    {op} x13, x11, {imm}",
@@ -338,60 +312,37 @@ def _load_ext_test(op: str) -> str:
     """lb/lbu/lh/lhu sign/zero extension over a known pattern."""
     b = _Builder()
     pattern = 0x80FF7F01  # bytes 01 7F FF 80 at offsets 0..3 (little-endian)
-    expect = {
-        "lb": [0x01, 0x7F, 0xFFFFFFFF, 0xFFFFFF80],
-        "lbu": [0x01, 0x7F, 0xFF, 0x80],
-        "lh": [(0x7F01, 0xFFFF80FF)],
-        "lhu": [(0x7F01, 0x80FF)],
+    expect = {  # (offset, value loaded)
+        "lb": [(0, 0x01), (1, 0x7F), (2, 0xFFFFFFFF), (3, 0xFFFFFF80)],
+        "lbu": [(0, 0x01), (1, 0x7F), (2, 0xFF), (3, 0x80)],
+        "lh": [(0, 0x7F01), (2, 0xFFFF80FF)],
+        "lhu": [(0, 0x7F01), (2, 0x80FF)],
     }
-    if op in ("lb", "lbu"):
-        for off, value in enumerate(expect[op]):
-            b.case([
-                "    la   x11, scratch",
-                f"    li   x12, {pattern}",
-                "    sw   x12, 0(x11)",
-                f"    {op}  x13, {off}(x11)",
-                f"    li   x14, {value}",
-                "    bne  x13, x14, fail",
-            ])
-    else:
-        lo, hi = expect[op][0]
-        for off, value in ((0, lo), (2, hi)):
-            b.case([
-                "    la   x11, scratch",
-                f"    li   x12, {pattern}",
-                "    sw   x12, 0(x11)",
-                f"    {op}  x13, {off}(x11)",
-                f"    li   x14, {value}",
-                "    bne  x13, x14, fail",
-            ])
+    for off, value in expect[op]:
+        b.case([
+            "    la   x11, scratch",
+            f"    li   x12, {pattern}",
+            "    sw   x12, 0(x11)",
+            f"    {op}  x13, {off}(x11)",
+            f"    li   x14, {value}",
+            "    bne  x13, x14, fail",
+        ])
     return b.source()
 
 
 def _store_narrow_test(op: str) -> str:
     b = _Builder()
-    if op == "sb":
-        b.case([
-            "    la   x11, scratch",
-            "    li   x12, 0xFFFFFFFF",
-            "    sw   x12, 0(x11)",
-            "    li   x13, 0x12345678",  # only 0x78 must land
-            "    sb   x13, 1(x11)",
-            "    lw   x14, 0(x11)",
-            "    li   x15, 0xFFFF78FF",
-            "    bne  x14, x15, fail",
-        ])
-    else:  # sh
-        b.case([
-            "    la   x11, scratch",
-            "    li   x12, 0xFFFFFFFF",
-            "    sw   x12, 0(x11)",
-            "    li   x13, 0x12345678",  # only 0x5678 must land
-            "    sh   x13, 2(x11)",
-            "    lw   x14, 0(x11)",
-            "    li   x15, 0x5678FFFF",
-            "    bne  x14, x15, fail",
-        ])
+    offset, expect = (1, 0xFFFF78FF) if op == "sb" else (2, 0x5678FFFF)
+    b.case([
+        "    la   x11, scratch",
+        "    li   x12, 0xFFFFFFFF",
+        "    sw   x12, 0(x11)",
+        "    li   x13, 0x12345678",  # only its low byte or half must land
+        f"    {op}   x13, {offset}(x11)",
+        "    lw   x14, 0(x11)",
+        f"    li   x15, {expect:#x}",
+        "    bne  x14, x15, fail",
+    ])
     return b.source()
 
 

@@ -104,15 +104,18 @@ class HostAgent:
 
     def pico_setup(self) -> GuestRegion:
         """Allocate (register + zero-fill) the configured guest region; its
-        limits were checked by MachineConfig.validate."""
+        limits were checked by MachineConfig.validate. A new fabric builds its
+        arrays zeroed, so only a re-setup fills them."""
         region = self.config.region
         base, size = region.base, region.size
-        self.machine.fabric.register_window(base, size)
-        # fresh-machine zero-fill: caches hold nothing of the region yet, so
-        # writing the backing store directly is equivalent to coherent stores
-        self.machine.fabric.dram[base : base + size] = b"\x00" * size
-        if self.machine.fabric.shadow is not None:
-            self.machine.fabric.shadow[base : base + size] = b"\x00" * size
+        fabric = self.machine.fabric
+        fabric.register_window(base, size)
+        if self.mailbox is not None:  # a re-setup, before the run: caches hold nothing
+            # of the region yet, so writing the backing store directly is
+            # equivalent to coherent stores
+            fabric.dram[base : base + size] = bytes(size)
+            if fabric.shadow is not None:
+                fabric.shadow[base : base + size] = bytes(size)
         self.mailbox = HostMailbox(self.port, region.mailbox_addr, charge=self._charge)
         self._charge(1)
         self._trace(f"HOST cycle={self.time} step=1 setup base=0x{base:08x} size=0x{size:x}")

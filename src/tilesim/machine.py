@@ -5,14 +5,19 @@ first guest tile; later guest tiles are fabric tiles that run nothing. A run
 boots the host first (setup, load, start) in one call. That is exact: the
 guest is held in reset until the start interrupt wakes it at the delivery
 time. The loop then merges the two clocks, always advancing the smaller one
-and breaking ties by tile id. Each step is one atomic unit (one guest
-instruction, one mailbox poll), so a run is a pure function of (config,
-seed, binary). With no trace open, the host sleeps after each poll: the
-guest steps alone until a guest store or an L2 recall takes the host's
-cached status line, the run ends or the cycle limit trips, and then the
-polls due before that last guest step are charged in one sum. That is
-exact: each would hit the same line, find no request and touch only the
-host's counters and LRU order.
+and breaking ties by tile id. A host step is one mailbox poll. A guest step
+runs a block (Rv32Core.step) whose budget, min(host.time + tie, limit + 1) -
+guest.time, lets none of its instructions start at or after the host's next
+step or past the cycle limit. So instructions and polls interleave as single
+steps would, and a run is a pure function of (config, seed, binary); a traced
+guest runs one instruction per step. The guest port's clock is the running
+instruction's start: the wake time plus the core's cycle counter. With no
+trace open, the host sleeps after each poll: the guest runs alone, with the
+budget limit + 1 - guest.time, until a guest store or an L2 recall takes the
+host's cached status line, the run ends or the cycle limit trips. Then the
+polls due before the start of the last instruction it ran, none past the
+limit, are charged in one sum. That is exact: each would hit the same line,
+find no request and touch only the host's counters and LRU order.
 """
 
 from __future__ import annotations
@@ -50,21 +55,26 @@ class CoreAgent:
         self.tile = tile
         cfg = machine.config
         self.port = FabricPort(machine.fabric, tile)
-        self.port.now_fn = lambda: self.time
         self.core = Rv32Core(port=self.port, reset_vector=cfg.guest_base, timing=cfg.timing)
-        self.time = 0
+        # the running instruction's start
+        self.port.now_fn = lambda: self.woke + self.core.cycle_counter
+        self.time = self.woke = 0
 
     def wake(self, at: int):
         if self.core.run_state is HELD_IN_RESET:
-            self.time = at  # the clock starts when the core leaves reset
+            self.time = self.woke = at  # the clock starts when the core leaves reset
         self.core.deliver_start_interrupt()
 
-    def advance(self):
-        result = self.core.step()
+    def advance(self, budget: int | None = None) -> int:
+        """One step of the core (see Rv32Core.step); returns the cycle its
+        last instruction started at."""
+        result = self.core.step(budget)
+        start = self.time + result.last_start
         self.time += result.cycles
         if self.core.run_state is not RUNNING:  # halted by a trap
             self.machine.trap = self.core.halt_reason
             self.machine.finished = True
+        return start
 
 
 class Machine:
@@ -139,20 +149,24 @@ class Machine:
             host.boot()
             while not self.finished:
                 # the smaller clock goes next; the lower tile wins a tie
-                agent = guest if (guest.time, guest.tile) < (host.time, host.tile) else host
+                agent = guest if guest.time < host.time + tie else host
                 if agent.time > limit:
                     raise SimError(f"cycle limit {limit} exceeded (wedged guest?)")
-                agent.advance()
-                if agent is host and self.trace is None and not self.finished:
+                if agent is guest:  # its block stops before the host's next step and the limit
+                    guest.advance(min(host.time + tie, limit + 1) - guest.time)
+                    continue
+                host.advance()
+                if self.trace is None and not self.finished:
                     # the host sleeps while its polls would hit its cached
                     # status line and find no request, then pays for them
                     line = host.status_line()
                     while (g := guest.time) <= limit:
-                        guest.advance()
+                        g = guest.advance(limit + 1 - g)  # its last instruction's start
                         if self.finished or line.state is INVALID:
                             break  # the run ended, or the guest took the host's copy
-                    if host.time <= g - tie:
-                        host.skip_idle_polls(line, until=g - tie)
+                    until = min(g - tie, limit)  # a poll past the limit trips it instead
+                    if host.time <= until:
+                        host.skip_idle_polls(line, until=until)
         finally:
             if self.host.handler:
                 self.host.handler.close_all()

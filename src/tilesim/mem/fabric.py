@@ -340,6 +340,8 @@ class MemoryFabric:
         """Send `op` (Downgrade or Invalidate) to every one of `tiles`, in tile
         order and all before the first ack; the L2 line takes the data of a
         Modified copy, which the recall of a Modified line must bring back."""
+        if not tiles:
+            return  # no copy to recall
         line_addr = l2line.addr
         tiles = sorted(tiles)
         for t in tiles:

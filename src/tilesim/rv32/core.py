@@ -1,8 +1,8 @@
 """Multicycle RV32I guest core.
 
-The core is held in reset until a start interrupt arrives, then executes one
-instruction per scheduler step, strictly serial fetch-then-execute. Every step
-advances the cycle counter by
+The core is held in reset until a start interrupt arrives, then executes
+instructions strictly serially, fetch then execute. Each advances the cycle
+counter by
 
     fetch latency + execution cycles (per instruction class) + data latency
 
@@ -16,24 +16,29 @@ No privileged state exists. ecall/ebreak, undecodable words, misaligned
 accesses, unknown CSRs and memory faults all halt the core with a trap reason;
 there is no trap handler to vector to.
 
-Each instruction word is decoded once, into a handler bound to its operands
-as ints (registers, the masked immediate), kept in a dict from word to
-(handler, execution cycles) that a step dispatches from; an ALU
-op is one `operator` function call, masked to 32 bits. Every step still
-fetches through the port, so fetch timing and the word come from memory.
-Keyed by word, not by pc, the dict needs no invalidation: after a store over
-code the next fetch returns the new word, decoded on first sight like any
-other. A word that fails to decode is not kept; it traps each time.
+A step runs a block: the instructions from the pc to the first load, store,
+branch, jump, system op or undecodable word, or to the end of the pc's line.
+Only that last one can touch memory, jump, read the counter or trap, and the
+counters are committed before it runs. Given a budget, a step dispatches the
+block if the pc's line is in the port's L1.5 and it and the data-value shadow
+hold the block's bytes, which keeps a store over code exact; one LRU move and
+one ifetch hit per instruction stand for the fetches, all hits on that line
+before the one data access. Otherwise, or with no budget (a traced run, whose
+every fetch keeps its `MEM` line), a step runs one instruction, fetched
+through the port. The blocks, a dict by pc, are the one decode cache: each
+instruction is decoded once, into a handler bound to its operands as ints;
+an ALU op is one `operator` function call, masked to 32 bits.
 
 A core owns one StepResult and `step` rewrites all of its fields and returns
-it, so a result is valid until the next step. Its cycles split exactly into
-fetch + execution + data, trapping steps included.
+it, so a result is valid until the next step. Its cycles, summed over the
+step's instructions, split exactly into fetch + execution + data.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..config import TimingConfig
@@ -61,6 +66,7 @@ class StepResult:
     fetch_cycles: int = 0
     exec_cycles: int = 0
     data_cycles: int = 0
+    last_start: int = 0  # when the step's last instruction started, in cycles after its first
 
 
 @dataclass
@@ -97,7 +103,8 @@ class Rv32Core:
             OpClass.SYSTEM: t.system_cycles,  # CSR reads; ecall/ebreak halt anyway
             OpClass.LOAD: t.load_store_exec_cycles, OpClass.STORE: t.load_store_exec_cycles,
         }
-        self._decoded: dict[int, tuple] = {}  # word -> (handler, exec cycles)
+        self.hit_cycles = t.l15_hit_cycles  # a block's fetches all hit
+        self._blocks: dict[int, tuple] = {}  # pc -> the block that starts there, see _build
         self.result = StepResult(0)
 
     # -- run-state transitions -------------------------------------------------
@@ -112,45 +119,88 @@ class Rv32Core:
 
     # -- stepping ----------------------------------------------------------------
 
-    def step(self) -> StepResult:
-        """Execute exactly one instruction; requires run_state == RUNNING.
-        Returns the core's one StepResult, valid until the next step."""
+    def step(self, budget: int | None = None) -> StepResult:
+        """Run the block at the pc, only those of its instructions that start
+        less than `budget` cycles after its first; with no budget, a traced
+        fabric or a block that cannot be dispatched, run one instruction.
+        Requires run_state == RUNNING. Returns the core's one StepResult,
+        valid until the next step."""
         if self.run_state is not RUNNING:
             raise SimError(f"step() while {self.run_state.value}")
-        pc = self.pc
-        r = self.result
-        f_cycles = 0  # the fetch latency charged: none for a misaligned or faulting fetch
+        pc, r, port = self.pc, self.result, self.port
+        block = self._blocks.get(pc)
+        n, f, body = 1, 0, 0  # instructions run, each one's fetch cycles, cycles before the last
+        line = None  # a dispatch makes the one LRU move of pc's line, which must hold the block
+        if budget and not pc & 3 and not port.fabric.trace:  # a traced fetch keeps its MEM line
+            line = port.l15.hit(pc & port.fabric.line_mask, False)
         try:
-            if pc & 0x3:
-                raise _Trap(f"misaligned fetch 0x{pc:08x}")
-            try:
-                word, f_cycles = self.port.fetch(pc)
-            except MemoryFault as fault:
-                raise _Trap(f"fetch fault: {fault}") from fault
-            entry = self._decoded.get(word)
-            if entry is None:
+            if line is not None:
+                at = pc - line.addr
+                if block is None or not block[3] or not line.data.startswith(block[0], at):
+                    block = self._blocks[pc] = self._build(pc, line.data[at:], True)
+                shadow = port.fabric.shadow
+                if shadow is None or shadow.startswith(block[0], pc):
+                    starts = block[2]
+                    n = len(starts) if budget > starts[-1] else bisect_left(starts, budget)
+                    port.counts[0] += n  # ifetch_accesses
+                    port.counts[1] += n  # ifetch_hits
+                    f, body = self.hit_cycles, starts[n - 1]
+                else:
+                    line = None  # fetch one at a time, up to the word the data check fails on
+            if line is None:
+                if pc & 0x3:
+                    raise _Trap(f"misaligned fetch 0x{pc:08x}")
                 try:
-                    insn = decode(word, pc)
-                except DecodeError as err:
-                    raise _Trap(str(err), f_cycles) from err
-                entry = self._decoded[word] = (_bind(insn), self.exec_cycles[insn.opclass])
-            handler, e_cycles = entry
+                    word, f = port.fetch(pc)
+                except MemoryFault as fault:
+                    raise _Trap(f"fetch fault: {fault}") from fault
+                code = word.to_bytes(4, "little")
+                if block is None or not block[0].startswith(code):
+                    block = self._blocks[pc] = self._build(pc, code, False)
+            steps = block[1]
+            if n > 1:
+                regs = self.regs
+                for handler, _ in steps[: n - 1]:  # straight-line: none traps or jumps
+                    handler(self, pc, 0)
+                    regs[0] = 0
+                    pc += 4
+                self.cycle_counter += body  # so the last one's CSR read or trap sees it
+                self.instret += n - 1
+            handler, e_cycles = steps[n - 1]
             r.data_cycles = 0  # a load or store handler sets its own
-            cycles = f_cycles + e_cycles
+            cycles = f + e_cycles
             next_pc = handler(self, pc, cycles)
         except _Trap as trap:
             self.run_state, self.halt_reason = HALTED, f"trap: {trap.reason} @pc=0x{pc:08x}"
-            self.cycle_counter += trap.cycles
-            r.cycles, r.fetch_cycles, r.exec_cycles = trap.cycles, f_cycles, trap.cycles - f_cycles
-            r.data_cycles = 0
-            return r
+            next_pc, cycles, e_cycles, r.data_cycles = pc, trap.cycles, trap.cycles - f, 0
+        else:
+            self.instret += 1
         self.regs[0] = 0
         self.pc = next_pc & M32
         cycles += r.data_cycles
         self.cycle_counter += cycles
-        self.instret += 1
-        r.cycles, r.fetch_cycles, r.exec_cycles = cycles, f_cycles, e_cycles
+        r.cycles, r.fetch_cycles, r.exec_cycles = body + cycles, n * f, body + f + e_cycles - n * f
+        r.last_start = body
         return r
+
+    def _build(self, pc: int, code: bytes, whole: bool) -> tuple:
+        """The block at pc, decoded from `code`, the bytes from pc to the end
+        of its line, or with `whole` false its first instruction alone: (its
+        bytes, its (handler, execution cycles) pairs, when each starts after
+        the first if every fetch hits, whole)."""
+        steps, starts, t = [], [], 0
+        for at in range(0, len(code) if whole else 4, 4):
+            try:
+                insn = decode(int.from_bytes(code[at : at + 4], "little"), pc + at)
+                step = _bind(insn), self.exec_cycles[insn.opclass]
+            except DecodeError as err:  # it traps when it runs, after its fetch
+                insn, step = None, (_trap(str(err)), 0)
+            steps.append(step)
+            starts.append(t)
+            t += self.hit_cycles + step[1]
+            if insn is None or insn.opclass not in _STRAIGHT_LINE:
+                break
+        return bytes(code[: 4 * len(steps)]), tuple(steps), tuple(starts), whole
 
 
 # -- instruction handlers ----------------------------------------------------------
@@ -258,9 +308,19 @@ def _bind(i: Instruction):
                 core.regs[rd] = ((core.cycle_counter + cycles) >> shift) & M32
                 return pc + 4
             return handler
-        def handler(_core, _pc, cycles):
-            raise _Trap(reason, cycles)
+        return _trap(reason)
     return handler
+
+
+def _trap(reason: str):
+    """The handler of an instruction that traps when it runs."""
+    def handler(_core, _pc, cycles):
+        raise _Trap(reason, cycles)
+    return handler
+
+
+# what a block may run before its last instruction: no data access, jump, CSR read or trap
+_STRAIGHT_LINE = frozenset((OpClass.OP, OpClass.OP_IMM, OpClass.LUI, OpClass.AUIPC, OpClass.FENCE))
 
 
 class _Trap(SimError):

@@ -6,8 +6,11 @@ The machine runs as usual. Wrappers on the instance (as test_golden.py puts
 them) mirror every store of the host's port into the stepper's memory as it
 happens (the loader, mailbox results, syscall payloads, whose bytes after the
 first of each line are stored by `byte_hits`) and, after each guest step,
-step the stepper once and compare pc, the 32 registers and instret. A step
-the core traps on must be one the stepper traps on too.
+step the stepper through the instructions the step retired, plus one if it
+trapped, and compare pc, the 32 registers and instret. An untraced step runs
+a straight-line block, so the comparison comes at its end; a traced one runs
+one instruction. A step the core traps on must be one the stepper traps on
+too.
 """
 
 import importlib
@@ -45,13 +48,18 @@ def lockstep(machine) -> cosim.FlatCpu:
             ref.mem[addr : addr + n] = data
         return result
 
-    def lockstep_step():
-        pc = core.pc
-        result = step()
-        try:
-            ref.step(lambda: core.cycle_counter)  # the counter after this step
-        except cosim.Trap as trap:
-            assert core.run_state is HALTED, f"core ran what the stepper traps on: {trap}"
+    def lockstep_step(budget=None):
+        pc, instret = core.pc, core.instret
+        result = step(budget)
+        n = core.instret - instret + (core.run_state is HALTED)  # a trapping step counts one
+        for i in range(n):
+            try:
+                # only a step's last instruction can read the counter: its value after the step
+                ref.step(lambda: core.cycle_counter)
+            except cosim.Trap as trap:
+                assert core.run_state is HALTED and i == n - 1, (
+                    f"core ran what the stepper traps on: {trap}")
+                break
         else:
             assert core.run_state is RUNNING, (
                 f"core trapped where the stepper ran: {core.halt_reason}")
