@@ -156,8 +156,6 @@ class Assembler:
             if not comma:
                 raise AsmError(f"{name} needs a name and a value", lineno)
             self._define(sym.strip(), _eval(expr, self.symbols, lineno), lineno)
-        elif name == ".globl" or name == ".global":
-            pass  # every label is exported
         elif name == ".balign":
             boundary = _eval(rest, self.symbols, lineno)
             if boundary < 1 or boundary & (boundary - 1):

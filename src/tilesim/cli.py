@@ -8,8 +8,9 @@
     simctl assemble SRC [SRC...] -o OUT [--base ADDR] [--define NAME=VALUE ...]
 
 Exit status: the guest's exit code for `run`; 0/1 for the suites. Failed runs
-print a diagnostic naming the pipeline step that broke (0 arguments, 2 load);
-a bad config fails before the run, with exit status 2.
+print a diagnostic naming the pipeline step that broke (0 arguments, 2 load)
+and exit 1, as does any other simulator error; a bad config fails before the
+run, with exit status 2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import corpus
 from .asm import assemble
 from .config import MachineConfig, load_config
 from .elf import program_to_elf
-from .errors import AsmError, ConfigError, LoadError, SimError
+from .errors import ConfigError, LoadError, SimError
 from .harness import l15_data_miss_rate, run_bench, run_isa_suite, run_latency_probe
 from .litmus import TESTS, run_litmus
 from .machine import Machine
@@ -65,14 +66,8 @@ def cmd_run(args) -> int:
             blob = fh.read()
     except OSError as err:
         _fail(f"step 0: cannot read binary: {err}")
-    try:
-        machine = Machine(cfg, binary=blob, sandbox_dir=args.sandbox,
-                          trace_path=args.trace)
-        stats = machine.run()
-    except LoadError as err:
-        _fail(f"step 2: {err}")
-    except SimError as err:
-        _fail(str(err))
+    machine = Machine(cfg, binary=blob, sandbox_dir=args.sandbox, trace_path=args.trace)
+    stats = machine.run()
     _emit(sys.stdout, bytes(machine.stdout_data))
     _emit(sys.stderr, bytes(machine.stderr_data))
     _write_stats(stats, args.stats_out)
@@ -94,10 +89,7 @@ def cmd_test_rv32ui(args) -> int:
 
 def cmd_latency_probe(args) -> int:
     cfg = _load_cfg(args)
-    try:
-        report = run_latency_probe(cfg, jitter=not args.no_jitter, trials=args.trials)
-    except SimError as err:
-        _fail(str(err))
+    report = run_latency_probe(cfg, jitter=not args.no_jitter, trials=args.trials)
     for line in report.lines():
         print(line)
     return 0
@@ -105,10 +97,7 @@ def cmd_latency_probe(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
-    try:
-        stats, machine = run_bench(args.name, cfg, trace_path=args.trace)
-    except SimError as err:
-        _fail(str(err))
+    stats, machine = run_bench(args.name, cfg, trace_path=args.trace)
     _emit(sys.stdout, bytes(machine.stdout_data))
     rate = l15_data_miss_rate(stats, cfg.guest_tile())
     print(f"cycles={stats['total_cycles']} instructions={stats['guest_instructions']}"
@@ -118,10 +107,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_litmus(args) -> int:
-    try:
-        report = run_litmus(args.name)
-    except SimError as err:
-        _fail(str(err))
+    report = run_litmus(args.name)
     print(f"{report['name']}: {report['description']}")
     print(f"interleavings explored: {report['interleavings']}")
     for outcome in report["outcomes"]:
@@ -149,11 +135,11 @@ def cmd_assemble(args) -> int:
         for path in args.sources:
             with open(path, "r", encoding="utf-8") as fh:
                 sources.append(fh.read())
-        program = assemble(sources, base=args.base if args.base is not None else cfg.guest_base,
-                           defines=defines)
-        blob = program_to_elf(program)
-    except (OSError, AsmError) as err:
+    except OSError as err:
         _fail(str(err))
+    program = assemble(sources, base=args.base if args.base is not None else cfg.guest_base,
+                       defines=defines)
+    blob = program_to_elf(program)
     with open(args.output, "wb") as fh:
         fh.write(blob)
     print(f"wrote {args.output}: {len(blob)} bytes, entry 0x{program.entry:08x}")
@@ -214,7 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except LoadError as err:
+        _fail(f"step 2: {err}")
+    except SimError as err:
+        _fail(str(err))
 
 
 if __name__ == "__main__":

@@ -45,9 +45,6 @@ class Instruction:
     imm: int = 0
     csr: int = 0
 
-    def __str__(self):
-        return f"{self.mnemonic} (0x{self.raw:08x})"
-
 
 def sext(value: int, bits: int) -> int:
     """Sign-extend the low `bits` of value to a Python int."""

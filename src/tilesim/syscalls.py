@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import MemoryFault
+from .rv32.insn import sext
 
 SYS_OPENAT = 56
 SYS_CLOSE = 57
@@ -40,11 +41,6 @@ MAX_IO = 1 << 20
 @dataclass
 class ExitRequest(Exception):
     status: int
-
-
-def _s32(value: int) -> int:
-    value &= 0xFFFFFFFF
-    return value - (1 << 32) if value & 0x80000000 else value
 
 
 @dataclass
@@ -80,7 +76,7 @@ class SyscallHandler:
         """Returns (return_value, errno_value); raises ExitRequest for exit."""
         try:
             if number == SYS_EXIT:
-                raise ExitRequest(_s32(args[0]))
+                raise ExitRequest(sext(args[0], 32))
             if number == SYS_WRITE:
                 return self._write(args[0], args[1], args[2])
             if number == SYS_READ:
@@ -105,7 +101,7 @@ class SyscallHandler:
     # -- individual calls ---------------------------------------------------
 
     def _guest_fd(self, fd: int):
-        fd = _s32(fd)
+        fd = sext(fd, 32)
         if fd in (0, 1, 2):
             return fd
         host = self.fds.get(fd)
@@ -116,7 +112,7 @@ class SyscallHandler:
     def _write(self, fd, buf, count):
         count = min(count, MAX_IO)
         data = self.read_bytes(buf, count)
-        fd = _s32(fd)
+        fd = sext(fd, 32)
         if fd == 1:
             self.stdout(data)
             return count, 0
@@ -128,7 +124,7 @@ class SyscallHandler:
 
     def _read(self, fd, buf, count):
         count = min(count, MAX_IO)
-        fd = _s32(fd)
+        fd = sext(fd, 32)
         if fd == 0:
             return 0, 0  # no interactive stdin in a deterministic run
         if fd in (1, 2):
@@ -155,7 +151,7 @@ class SyscallHandler:
         return target
 
     def _openat(self, dirfd, pathptr, flags, mode):
-        if _s32(dirfd) != _s32(AT_FDCWD):
+        if sext(dirfd, 32) != sext(AT_FDCWD, 32):
             raise OSError(host_errno.EBADF, "only AT_FDCWD is supported")
         count = MAX_PATH
         if pathptr < self.guest_top:
@@ -179,7 +175,7 @@ class SyscallHandler:
         return guest_fd, 0
 
     def _close(self, fd):
-        fd = _s32(fd)
+        fd = sext(fd, 32)
         if fd in (0, 1, 2):
             return 0, 0  # keep the standard streams alive
         os.close(self._guest_fd(fd))
@@ -187,14 +183,14 @@ class SyscallHandler:
         return 0, 0
 
     def _lseek(self, fd, offset, whence):
-        result = os.lseek(self._guest_fd(fd), _s32(offset), whence)
+        result = os.lseek(self._guest_fd(fd), sext(offset, 32), whence)
         if result > 0x7FFFFFFF:
             self._warn(f"lseek result {result} truncated to 32 bits")
             result &= 0x7FFFFFFF
         return result, 0
 
     def _fstat(self, fd, statptr):
-        fd = _s32(fd)
+        fd = sext(fd, 32)
         if fd in (0, 1, 2):
             mode, size = 0o020666, 0  # character device: keeps isatty-style checks happy
         else:

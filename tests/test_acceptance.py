@@ -14,20 +14,17 @@ Criteria (all primary):
 """
 
 import contextlib
-import io
 import json
 import random
-
-import pytest
 
 import flat_oracle
 import rvoracle
 import sc_oracle
 import test_insn
+from test_cli import run_cli
 from tilesim import corpus, mailbox as mb
-from tilesim.cli import main as cli_main
-from tilesim.config import MAILBOX_SIZE, MachineConfig
-from tilesim.harness import l15_data_miss_rate, run_bench, run_isa_suite, run_latency_probe
+from tilesim.config import MAILBOX_SIZE
+from tilesim.harness import l15_data_miss_rate, run_isa_suite, run_latency_probe
 from tilesim.litmus import Op, TESTS, explore, run_litmus
 from tilesim.machine import Machine
 from tilesim.mem.fabric import FabricPort
@@ -41,13 +38,6 @@ def criterion(number: int, title: str):
         print(f"ACCEPTANCE {number} FAIL: {title}")
         raise
     print(f"ACCEPTANCE {number} PASS: {title}")
-
-
-@pytest.fixture(scope="module")
-def config():
-    cfg = MachineConfig()
-    cfg.validate()
-    return cfg
 
 
 def test_criterion_1_latency_golden_numbers(config):
@@ -124,14 +114,14 @@ def _semantics_oracle_1000(config, rng):
         assert got == want, f"case {i}: got {got:#x}, reference {want:#x}"
 
 
-def test_criterion_3_coherence_soundness(config, tmp_path):
+def test_criterion_3_coherence_soundness(runs):
     with criterion(3, "coherence soundness (oracle replay + exhaustive exploration)"):
         # (a) full bench corpus transaction logs vs the flat-memory oracle
         total_loads = 0
-        for name in ("hanoi", "binsearch", "quicksort"):
-            trace_path = str(tmp_path / f"{name}.trace")
-            run_bench(name, config, trace_path=trace_path)
-            _, loads = flat_oracle.replay_file(trace_path)  # raises on any mismatch
+        for name in corpus.BENCH_NAMES:
+            # raises on any mismatch
+            _, loads = flat_oracle.replay_file(str(runs(name, traced=True).trace))
+            assert loads > 1000, f"{name}: suspiciously small trace"
             total_loads += loads
         assert total_loads > 10_000
         # (b) exhaustive interleavings, 2 cores x 1 line x <= 6 ops
@@ -155,13 +145,11 @@ def test_criterion_3_coherence_soundness(config, tmp_path):
             assert run_litmus(name)["forbidden_count"] == 0
 
 
-def test_criterion_4_syscall_proxy_end_to_end(config, tmp_path):
+def test_criterion_4_syscall_proxy_end_to_end(runs):
     with criterion(4, "syscall proxy end-to-end + mailbox fuzz"):
-        machine = Machine(config, binary=corpus.hello_elf(config),
-                          sandbox_dir=str(tmp_path))
-        stats = machine.run()
-        assert bytes(machine.stdout_data) == b"hello\n"
-        assert stats["exit_status"] == 0
+        hello = runs("hello")
+        assert hello.stdout == b"hello\n"
+        assert hello.counters["exit_status"] == 0
         # 1,000 randomized syscalls, poll intervals 1..200, serviced exactly once
         import test_mailbox
 
@@ -193,31 +181,19 @@ def test_criterion_4_syscall_proxy_end_to_end(config, tmp_path):
             assert port.load(test_mailbox.MB_BASE + off, 4)[0] == 0
 
 
-def test_criterion_5_working_set_effect(config):
+def test_criterion_5_working_set_effect(config, runs):
     with criterion(5, "working-set effect on private-cache miss rates"):
         tile = config.guest_tile()
-        binsearch_stats, m1 = run_bench("binsearch", config)
-        hanoi_stats, m2 = run_bench("hanoi", config)
-        assert bytes(m2.stdout_data) == b"moves=127\n"
-        binsearch = l15_data_miss_rate(binsearch_stats, tile)
-        hanoi = l15_data_miss_rate(hanoi_stats, tile)
+        assert runs("hanoi").stdout == b"moves=127\n"
+        binsearch = l15_data_miss_rate(runs("binsearch").counters, tile)
+        hanoi = l15_data_miss_rate(runs("hanoi").counters, tile)
         assert hanoi > 0
         assert binsearch >= 5 * hanoi, (
             f"binsearch {binsearch:.4f} not >= 5x hanoi {hanoi:.4f}"
         )
 
 
-def _cli(args):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        try:
-            code = cli_main(args)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue()
-
-
-def test_criterion_6_determinism_of_every_command(config, tmp_path):
+def test_criterion_6_determinism_of_every_command(config, tmp_path, capsys):
     with criterion(6, "byte-identical outputs for identical config and seed"):
         hello = tmp_path / "hello.elf"
         hello.write_bytes(corpus.hello_elf(config))
@@ -230,7 +206,7 @@ def test_criterion_6_determinism_of_every_command(config, tmp_path):
                 full = list(args)
                 if stats_name:
                     full += ["--stats-out", str(tmp_path / f"{stats_name}{i}.json")]
-                code, text = _cli(full)
+                code, text = run_cli(full), capsys.readouterr().out
                 blob = (tmp_path / f"{stats_name}{i}.json").read_bytes() if stats_name else b""
                 results.append((code, text, blob))
             assert results[0] == results[1], args

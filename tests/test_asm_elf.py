@@ -139,6 +139,12 @@ def test_bad_source_fails_as_asm_error_naming_its_line(bad):
     assert str(exc.value).startswith("line 2: ")
 
 
+def test_globl_is_an_unknown_directive():
+    """Every label is already global, so no directive exports one."""
+    with pytest.raises(AsmError, match=r"^line 2: unknown directive \.globl$"):
+        assemble("_start: nop\n.globl _start\n", base=0)
+
+
 def test_defines_feed_expressions():
     prog = assemble("li a0, BASE + 8", base=0, defines={"BASE": 0x100})
     w = words(prog)

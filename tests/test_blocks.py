@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from runs import perfbench
 from test_fuzz_cosim import word
 from tilesim import corpus
 from tilesim.asm import assemble
@@ -230,11 +231,7 @@ def test_a_word_that_differs_from_the_shadow_fails_the_data_check_at_that_word(t
 def test_host_awake_mid_block_gives_the_traced_stats(monkeypatch, tmp_path):
     """sysio's host wakes on the guest's syscall requests, so some untraced
     blocks are cut short by the host's next poll."""
-    from test_idle_polls import PERFBENCH
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
-
-    w = workloads.make("sysio", 0)
+    w = perfbench("workloads").make("sysio", 0)
     config = w.config()
     calls = count_steps(monkeypatch)
     out = {}

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from tilesim import corpus
+from tilesim.asm import assemble
 from tilesim.cli import main
 from tilesim.config import MachineConfig, load_config
+from tilesim.elf import program_to_elf
 from tilesim.errors import ConfigError
 
 
@@ -115,6 +117,36 @@ def test_readme_config_example_loads(tmp_path):
     cfg_path = tmp_path / "readme.json"
     cfg_path.write_text(section[start:end])
     assert load_config(str(cfg_path)) == MachineConfig()
+
+
+def test_run_seed_overrides_the_config_seed(hello_path, tmp_path, runs):
+    cfg_path = tmp_path / "seed7.json"
+    cfg_path.write_text(json.dumps({"seed": 7}))
+    stats = []
+    for args in (["--seed", "7"], ["--config", str(cfg_path)]):
+        out = tmp_path / "stats.json"
+        assert run_cli(["run", "--binary", hello_path, "--sandbox", str(tmp_path),
+                        "--stats-out", str(out), *args]) == 0
+        stats.append(out.read_text())
+    assert stats[0] == stats[1]
+    assert stats[0] != runs("hello").stats  # seed 7 draws other DRAM jitter than seed 0
+
+
+def test_trapped_run_exits_1(tmp_path, capsys):
+    cfg = MachineConfig()
+    binary = tmp_path / "trap.elf"
+    binary.write_bytes(program_to_elf(assemble("_start: ecall", base=cfg.guest_base)))
+    code = run_cli(["run", "--binary", str(binary), "--sandbox", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("simctl: guest trapped: ")
+
+
+def test_bench_past_the_cycle_limit_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "limit.json"
+    cfg_path.write_text(json.dumps({"sim_cycle_limit": 1000}))
+    code = run_cli(["bench", "hanoi", "--config", str(cfg_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("simctl: cycle limit 1000 exceeded")
 
 
 def test_latency_probe_no_jitter(capsys):

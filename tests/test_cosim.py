@@ -13,20 +13,16 @@ one instruction. A step the core traps on must be one the stepper traps on
 too.
 """
 
-import importlib
-from pathlib import Path
-
 import pytest
 
 import cosim
+from runs import perfbench
 from tilesim import corpus
 from tilesim.config import MachineConfig
 from tilesim.elf import parse_elf
 from tilesim.harness import _suite_config, bundled_suite_elves
 from tilesim.machine import Machine
 from tilesim.rv32.core import HALTED, RUNNING
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def lockstep(machine) -> cosim.FlatCpu:
@@ -86,10 +82,9 @@ def test_corpus_runs_in_lockstep(name):
 
 
 @pytest.mark.parametrize("name", ["memwalk", "sysio"])
-def test_perfbench_guest_runs_in_lockstep(name, tmp_path, monkeypatch):
+def test_perfbench_guest_runs_in_lockstep(name, tmp_path):
     """The benchmark's own seed-0 build, sandbox and output check."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    w = importlib.import_module("workloads").make(name, 0)
+    w = perfbench("workloads").make(name, 0)
     config = w.config()
     sandbox = w.make_sandbox(str(tmp_path / "sandbox"))
     machine = Machine(config, binary=w.build(config), sandbox_dir=sandbox or str(tmp_path))

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tilesim.config import CacheGeometry, MachineConfig, MeshConfig, TimingConfig
+from tilesim.config import MachineConfig, MeshConfig, TimingConfig
 from tilesim.errors import ConfigError, MemoryFault, ProtocolError, SimError
 from tilesim.mem.cache import LineState
 from tilesim.mem.fabric import FabricPort, MemoryFabric, SERVICED_DRAM, SERVICED_L15, SERVICED_L2

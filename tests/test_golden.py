@@ -3,7 +3,7 @@ reproduce byte for byte.
 
 - The corpus (hanoi, binsearch, quicksort) at seeds 0 and 99: sha256 of the
   stats JSON, of the guest stdout and of the `--trace` file
-  (`test_bench.py::test_corpus_matches_golden`, which reuses its seed-0 run).
+  (`test_bench.py::test_corpus_matches_golden`).
 - hello on two layouts other than the default host-then-guest pair: sha256 of
   its stats JSON and `--trace` file. They pin the start schedule where the
   default layout does not reach it: a guest tile below the host tile (ties
@@ -21,8 +21,8 @@ reproduce byte for byte.
   their range.
 - The benchmark guests memwalk and sysio at seed 0: sha256 of the stats
   JSON, of the guest stdout and of the `--trace` file
-  (`test_idle_polls.py::test_benchmark_guest_fast_path_equals_slow_path`,
-  which reuses its traced run). sysio is the host's syscall copy path.
+  (`test_idle_polls.py::test_benchmark_guest_fast_path_equals_slow_path`).
+  sysio is the host's syscall copy path.
 - Every bundled program's ELF: its length and sha256. These are hello, the
   three corpus benchmarks, the four latency probes, the rv32ui suite and the
   three perfbench workloads at seeds 0 and 1. An assembler change that
@@ -32,12 +32,14 @@ Every trace is locked by `trace_digest`: its whole-file sha256 plus, per record
 type, a line count and a sha256 over that type's lines in order. A moved
 trace then shows which record types moved, and whether only their order did.
 
+The corpus, layout and benchmark-guest runs come from the session's run table
+(runs.py), so each is made once however many tests read it.
+
 The files under tests/golden/ change only in a commit of their own that says
 why the model moved.
 """
 
 import hashlib
-import importlib
 import json
 import random
 import re
@@ -46,17 +48,15 @@ from pathlib import Path
 import pytest
 
 from coherence_paths import watch_coherence_paths
+from runs import LAYOUTS, perfbench
 from tilesim import corpus
-from tilesim.config import (GUEST_RV32, HOST_AGENT, CacheGeometry, MachineConfig, MeshConfig,
-                            TimingConfig)
+from tilesim.config import CacheGeometry, MachineConfig, MeshConfig, TimingConfig
 from tilesim.harness import _suite_config, bundled_suite_elves, run_latency_probe
-from tilesim.machine import Machine
 from tilesim.mem.cache import LineState
 from tilesim.mem.fabric import FabricPort, MemoryFabric
 from tilesim.noc import Noc
 
 GOLDEN = Path(__file__).parent / "golden"
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def sha256(data: bytes) -> str:
@@ -85,46 +85,34 @@ def trace_digest(trace: bytes) -> dict:
                for kind, lines in by_type.items()}}
 
 
-def corpus_digests(stats, stdout: bytes, trace_path: str) -> dict:
+def run_digests(run) -> dict:
+    """A traced run's stats JSON, stdout and trace, as the golden files lock them."""
     return {
-        "stats": sha256(stats.to_json().encode()),
-        "stdout": sha256(stdout),
-        "trace": trace_digest(Path(trace_path).read_bytes()),
+        "stats": sha256(run.stats.encode()),
+        "stdout": sha256(run.stdout),
+        "trace": trace_digest(run.trace.read_bytes()),
     }
 
 
-LAYOUTS = {
-    "guest-host-guest": MachineConfig(tiles=[GUEST_RV32, HOST_AGENT, GUEST_RV32],
-                                      mesh=MeshConfig(width=2, height=2)),
-    "guests-then-host": MachineConfig(tiles=[GUEST_RV32] * 3 + [HOST_AGENT],
-                                      mesh=MeshConfig(width=2, height=2, hop_cycles=3)),
-}
-
-
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_start_schedule_on_layout_matches_golden(layout, tmp_path):
+def test_start_schedule_on_layout_matches_golden(layout, runs):
     cfg = LAYOUTS[layout]
-    cfg.validate()
-    trace_path = tmp_path / "hello.trace"
-    machine = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path),
-                      trace_path=str(trace_path))
-    stats = machine.run()
-    assert bytes(machine.stdout_data) == b"hello\n"
+    hello = runs(f"hello@{layout}", traced=True)
+    assert hello.stdout == b"hello\n"
 
-    lines = trace_path.read_text(encoding="utf-8").splitlines()
+    lines = hello.trace.read_text(encoding="utf-8").splitlines()
     host, guest = cfg.host_tile(), cfg.guest_tile()
     irq = re.fullmatch(r"IRQ cycle=(\d+) kind=start src=(\d+) dst=(\d+) deliver@(\d+)",
                        next(line for line in lines if line.startswith("IRQ ")))
     sent, deliver = int(irq[1]), int(irq[4])
     assert (int(irq[2]), int(irq[3])) == (host, guest)
-    hops = machine.noc.hop_count(host, guest)
+    hops = Noc(cfg.mesh, len(cfg.tiles)).hop_count(host, guest)
     assert deliver == sent + hops * cfg.mesh.hop_cycles
     first_fetch = next(line for line in lines
                        if line.startswith("MEM cycle=") and f" tile={guest} kind=ifetch" in line)
     assert first_fetch.startswith(f"MEM cycle={deliver} ")
 
-    got = {"stats": sha256(stats.to_json().encode()),
-           "trace": trace_digest(trace_path.read_bytes())}
+    got = {"stats": sha256(hello.stats.encode()), "trace": trace_digest(hello.trace.read_bytes())}
     assert got == load_golden("layouts.json")[layout]
 
 
@@ -199,9 +187,7 @@ def bundled_programs() -> dict[str, bytes]:
             elves[f"probe-{op}-{'cached' if cached else 'uncached'}"] = elf
     for name, elf in bundled_suite_elves(_suite_config(cfg)).items():
         elves[f"rv32ui-{name}"] = elf
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        workloads = importlib.import_module("workloads")
+    workloads = perfbench("workloads")
     for name in workloads.NAMES:
         for seed in (0, 1):
             w = workloads.make(name, seed)

@@ -1,14 +1,10 @@
 """Host agent: region setup, ELF loading, start ordering, syscall servicing,
 and sandbox confinement."""
 
-import os
-
 import pytest
 
-from tilesim import corpus
-from tilesim.asm import assemble
+from test_machine import guest_blob, small_config
 from tilesim.config import CacheGeometry, MachineConfig
-from tilesim.elf import program_to_elf
 from tilesim.errors import ConfigError, LoadError, MemoryFault, ProtocolError
 from tilesim.host import GuestImage, GuestRegion
 from tilesim.mailbox import OFF_STATUS, STATUS_REQUESTED
@@ -18,20 +14,9 @@ from tilesim import elf as elfmod
 from tilesim.syscalls import ExitRequest, SyscallHandler
 
 
-def small_config(**kw):
-    cfg = MachineConfig(guest_region_size=256 * 1024, dram_size=2 * 1024 * 1024,
-                        stack_size=16 * 1024, **kw)
-    cfg.validate()
-    return cfg
-
-
 def make_machine(source: str | None = None, config=None, **machine_kw):
     cfg = config or small_config()
-    blob = None
-    if source is not None:
-        program = assemble([corpus.read_source("runtime.s"), source],
-                           base=cfg.guest_base, defines=corpus.standard_defines(cfg))
-        blob = program_to_elf(program)
+    blob = None if source is None else guest_blob(source, cfg)
     return Machine(cfg, binary=blob, **machine_kw)
 
 
@@ -72,14 +57,9 @@ def test_setup_idempotent_reuse():
 # -- load_binary ------------------------------------------------------------------
 
 
-def _blob(source: str, cfg, base=None):
-    program = assemble(source, base=base if base is not None else cfg.guest_base)
-    return program_to_elf(program)
-
-
 def test_load_rejects_wrong_entry():
     cfg = small_config()
-    m = Machine(cfg, binary=_blob("nop", cfg, base=cfg.guest_base + 0x100))
+    m = Machine(cfg, binary=guest_blob("main: ret", cfg, base=cfg.guest_base + 0x100))
     region = m.host.pico_setup()
     with pytest.raises(LoadError, match="reset vector"):
         GuestImage.validate(m.parse_binary(), region, cfg.stack_size)
@@ -113,14 +93,22 @@ def test_load_rejects_mailbox_overlap():
         GuestImage.validate(image, region, cfg.stack_size)
 
 
+def test_load_rejects_stack_overlap():
+    cfg = small_config()
+    region = GuestRegion(cfg.guest_base, cfg.guest_region_size)
+    stack_bottom = region.mailbox_addr - cfg.stack_size
+    segment = elfmod.Segment(stack_bottom - 4, b"\x00" * 8, 8)  # its last word is stack
+    image = elfmod.ElfImage(entry=cfg.guest_base, segments=[segment], symbols={})
+    with pytest.raises(LoadError, match="segment overlaps the guest stack"):
+        GuestImage.validate(image, region, cfg.stack_size)
+
+
 def test_loader_roundtrip_through_fabric():
     """Bytes written by the (big-endian) loader read back identically for the
     little-endian guest: the cross-endian path is transparent."""
     cfg = small_config()
     payload = bytes(range(1, 90))  # odd length: exercises byte head/tail paths
-    program = assemble("_start: nop", base=cfg.guest_base)
-    blob = program_to_elf(program)
-    m = Machine(cfg, binary=blob)
+    m = Machine(cfg, binary=guest_blob("main: ret", cfg))
     region = m.host.pico_setup()
     image = GuestImage.validate(m.parse_binary(), region, cfg.stack_size)
     m.host.load_binary(image)

@@ -1,19 +1,9 @@
 """The bundled ISA suite and the suite runner's conventions."""
 
-import pytest
-
 from tilesim.asm import assemble
-from tilesim.config import MachineConfig
 from tilesim.corpus import rv32ui
 from tilesim.elf import program_to_elf
 from tilesim.harness import run_isa_suite, run_isa_test, _suite_config
-
-
-@pytest.fixture(scope="module")
-def config():
-    cfg = MachineConfig()
-    cfg.validate()
-    return cfg
 
 
 def test_bundled_suite_passes_100_percent(config):

@@ -25,18 +25,17 @@ def small_config(**kw):
     return cfg
 
 
-def guest_blob(source: str, cfg) -> bytes:
+def guest_blob(source: str, cfg, base=None) -> bytes:
+    """The guest runtime then `source`, linked at `base` (default: the guest
+    base) with the corpus's standard defines."""
     program = assemble([corpus.read_source("runtime.s"), source],
-                       base=cfg.guest_base, defines=corpus.standard_defines(cfg))
+                       base=cfg.guest_base if base is None else base,
+                       defines=corpus.standard_defines(cfg))
     return program_to_elf(program)
 
 
-def test_hello_world_end_to_end(tmp_path):
-    cfg = small_config()
-    machine = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path))
-    stats = machine.run()
-    assert bytes(machine.stdout_data) == b"hello\n"
-    assert stats["exit_status"] == 0
+def test_hello_world_end_to_end(runs):
+    stats = runs("hello").counters  # its stdout and exit status: acceptance criterion 4
     assert stats["guest_trap"] is None
     assert stats["syscalls.count"] == 2  # write + exit
     assert stats["guest_instructions"] > 0
@@ -90,17 +89,15 @@ def test_cycle_limit_guards_wedged_guest_traced():
     run_wedged_guest(trace_path=os.devnull)
 
 
-def test_stats_conservation_laws(tmp_path):
-    cfg = small_config()
-    machine = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path))
-    stats = machine.run()
+def test_stats_conservation_laws(runs, config):
+    stats = runs("hello").counters
     # no message loss or duplication
     for ch in (1, 2, 3):
         assert stats[f"noc.ch{ch}.injected"] == stats[f"noc.ch{ch}.delivered"]
     # blocking protocol: every request is answered exactly once
     assert stats["noc.ch1.injected"] == stats["noc.ch2.injected"]
     # per-level hit/miss arithmetic
-    for tile in range(len(cfg.tiles)):
+    for tile in range(len(config.tiles)):
         for side in ("ifetch", "data"):
             acc = stats[f"l15.tile{tile}.{side}_accesses"]
             hit = stats[f"l15.tile{tile}.{side}_hits"]
@@ -129,13 +126,8 @@ def test_poll_interval_affects_roundtrip(tmp_path):
     assert cycles[500] > cycles[5]
 
 
-def test_trace_replays_against_flat_memory_oracle(tmp_path):
-    cfg = small_config()
-    trace_path = tmp_path / "hello.trace"
-    machine = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path),
-                      trace_path=str(trace_path))
-    machine.run()
-    checked, loads = flat_oracle.replay_file(str(trace_path))
+def test_trace_replays_against_flat_memory_oracle(runs):
+    checked, loads = flat_oracle.replay_file(str(runs("hello", traced=True).trace))
     assert loads > 100  # instruction fetches + data
     assert checked > loads
 

@@ -3,27 +3,15 @@
 and its counters must equal `perfbench/golden.json`, the file the benchmark
 itself compares against."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def perfbench():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-        run = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run)
-        yield run
+from runs import perfbench
 
 
 @pytest.mark.parametrize("name", ["quicksort", "memwalk", "sysio"])
-def test_seed0_counters_match_perfbench_golden(perfbench, name):
-    w = perfbench.workloads.make(name, perfbench.DEFAULT_SEED)
-    run = perfbench.run_once(w, w.config())
+def test_seed0_counters_match_perfbench_golden(name):
+    bench = perfbench("run")
+    w = bench.workloads.make(name, bench.DEFAULT_SEED)
+    run = bench.run_once(w, w.config())
     assert run["problems"] == []
-    assert perfbench.model_counters(run["counters"]) == perfbench.load_golden()[name]
+    assert bench.model_counters(run["counters"]) == bench.load_golden()[name]

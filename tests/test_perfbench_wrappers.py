@@ -2,22 +2,14 @@
 points by name. A rename in src makes it fail with a KeyError; this runs the
 hello guest under the same wrappers, so the suite fails first."""
 
-import importlib.util
-from pathlib import Path
-
+from runs import perfbench
 from tilesim import corpus
 from tilesim.config import MachineConfig
 from tilesim.machine import Machine
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-
-def test_layer_wrappers_run_hello_and_split_guest_cycles(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-
+def test_layer_wrappers_run_hello_and_split_guest_cycles(tmp_path):
+    run = perfbench("run")
     config = MachineConfig()
     config.validate()
     machine = Machine(config, binary=corpus.hello_elf(config), sandbox_dir=str(tmp_path))
