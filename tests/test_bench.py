@@ -1,12 +1,14 @@
-"""Microbenchmark corpus: functional results, the miss-rate ordering of
-quicksort, determinism, and the corpus goldens. Every corpus run but the
-determinism pair comes from the session's run table (runs.py); the working-set
-bar and the flat-oracle trace replay are acceptance criteria 5 and 3(a)."""
+"""Microbenchmark corpus: functional results, the working-set miss-rate
+ordering, the full-corpus trace replay against the flat-memory oracle,
+determinism, and the corpus goldens. Every corpus run but the determinism pair
+comes from the session's run table (runs.py)."""
 
 import re
 
 import pytest
 
+import flat_oracle
+from tilesim import corpus
 from tilesim.config import MachineConfig
 from tilesim.harness import l15_data_miss_rate, run_bench
 from test_golden import load_golden, run_digests
@@ -29,11 +31,28 @@ def test_quicksort_sorts(runs):
     assert runs("quicksort", traced=True).stdout == b"sorted=1\n"
 
 
+def test_working_set_effect_on_miss_rates(runs):
+    """binsearch's 40KB working set exceeds the 8KB private cache; hanoi's
+    fits. The miss-rate ordering (at least 5x) is the acceptance bar."""
+    tile = MachineConfig().guest_tile()
+    binsearch = l15_data_miss_rate(runs("binsearch", traced=True).counters, tile)
+    hanoi = l15_data_miss_rate(runs("hanoi", traced=True).counters, tile)
+    assert hanoi > 0
+    assert binsearch >= 5 * hanoi, f"binsearch {binsearch:.4f} vs hanoi {hanoi:.4f}"
+
+
 def test_quicksort_behaves_like_hanoi_not_binsearch(runs):
     tile = MachineConfig().guest_tile()
     quicksort = l15_data_miss_rate(runs("quicksort", traced=True).counters, tile)
     binsearch = l15_data_miss_rate(runs("binsearch", traced=True).counters, tile)
     assert quicksort < binsearch
+
+
+def test_full_corpus_traces_replay_with_zero_mismatches(runs):
+    for name in corpus.BENCH_NAMES:
+        # raises on any mismatch
+        _, loads = flat_oracle.replay_file(str(runs(name, traced=True).trace))
+        assert loads > 1000, f"{name}: suspiciously small trace"
 
 
 def test_bench_determinism():
