@@ -6,18 +6,20 @@ boots the host first (setup, load, start) in one call. That is exact: the
 guest is held in reset until the start interrupt wakes it at the delivery
 time. The loop then merges the two clocks, always advancing the smaller one
 and breaking ties by tile id. A host step is one mailbox poll. A guest step
-runs a block (Rv32Core.step) whose budget, min(host.time + tie, limit + 1) -
-guest.time, lets none of its instructions start at or after the host's next
-step or past the cycle limit. So instructions and polls interleave as single
-steps would, and a run is a pure function of (config, seed, binary); a traced
-guest runs one instruction per step. The guest port's clock is the running
-instruction's start: the wake time plus the core's cycle counter. With no
-trace open, the host sleeps after each poll: the guest runs alone, with the
-budget limit + 1 - guest.time, until a guest store or an L2 recall takes the
-host's cached status line, the run ends or the cycle limit trips. Then the
-polls due before the start of the last instruction it ran, none past the
-limit, are charged in one sum. That is exact: each would hit the same line,
-find no request and touch only the host's counters and LRU order.
+runs a chain of blocks (Rv32Core.step) whose budget, min(host.time + tie,
+limit + 1) - guest.time, lets none of its instructions start at or after the
+host's next step or past the cycle limit. So instructions and polls
+interleave as single steps would, and a run is a pure function of (config,
+seed, binary); a traced guest runs one instruction per step. The guest port's
+clock is the running instruction's start: the wake time plus the core's cycle
+counter. With no trace open, the host sleeps after each poll: the guest runs
+alone, with the budget limit + 1 - guest.time, until a guest store or an L2
+recall takes the host's cached status line, the run ends or the cycle limit
+trips. A chain ends after every store and L1.5 miss, so the loop sees each of
+these right after the instruction that caused it. Then the polls due before
+the start of the last instruction it ran, none past the limit, are charged in
+one sum. That is exact: each would hit the same line, find no request and
+touch only the host's counters and LRU order.
 """
 
 from __future__ import annotations

@@ -16,18 +16,25 @@ No privileged state exists. ecall/ebreak, undecodable words, misaligned
 accesses, unknown CSRs and memory faults all halt the core with a trap reason;
 there is no trap handler to vector to.
 
-A step runs a block: the instructions from the pc to the first load, store,
+A block is the run of instructions from a pc to the first load, store,
 branch, jump, system op or undecodable word, or to the end of the pc's line.
 Only that last one can touch memory, jump, read the counter or trap, and the
-counters are committed before it runs. Given a budget, a step dispatches the
-block if the pc's line is in the port's L1.5 and it and the data-value shadow
-hold the block's bytes, which keeps a store over code exact; one LRU move and
-one ifetch hit per instruction stand for the fetches, all hits on that line
-before the one data access. Otherwise, or with no budget (a traced run, whose
-every fetch keeps its `MEM` line), a step runs one instruction, fetched
-through the port. The blocks, a dict by pc, are the one decode cache: each
-instruction is decoded once, into a handler bound to its operands as ints;
-an ALU op is one `operator` function call, masked to 32 bits.
+counters are committed before it runs. Given a budget, a step runs a chain of
+blocks: it dispatches the block at the pc if the pc's line is in the port's
+L1.5 and it and the data-value shadow hold the block's bytes, which keeps a
+store over code exact; one LRU move and one ifetch hit per instruction stand
+for the fetches, all hits on that line before the one data access. It goes on
+to the next pc's block, through line ends, load hits, branches and jumps, and
+stops after a store, a system op, a trap or any L1.5 miss, or before an
+instruction that would start `budget` or more cycles after the first. Until
+then only the core's own loads run, which neither write nor fill a line, so a
+block the step has already compared is not compared again; it still makes
+its LRU move and counts its hits. A pc whose block cannot be dispatched, and
+every pc with no budget (a traced run, whose every fetch keeps its `MEM`
+line), runs one instruction, fetched through the port, which ends the chain.
+The blocks, a dict by pc, are the one decode cache: each instruction is
+decoded once, into a handler bound to its operands as ints; an ALU op is one
+`operator` function call, masked to 32 bits.
 
 A core owns one StepResult and `step` rewrites all of its fields and returns
 it, so a result is valid until the next step. Its cycles, summed over the
@@ -120,74 +127,91 @@ class Rv32Core:
     # -- stepping ----------------------------------------------------------------
 
     def step(self, budget: int | None = None) -> StepResult:
-        """Run the block at the pc, only those of its instructions that start
-        less than `budget` cycles after its first; with no budget, a traced
-        fabric or a block that cannot be dispatched, run one instruction.
-        Requires run_state == RUNNING. Returns the core's one StepResult,
-        valid until the next step."""
+        """Run a chain of blocks from the pc, only those of their instructions
+        that start less than `budget` cycles after the first; with no budget,
+        a traced fabric or a block that cannot be dispatched, run one
+        instruction. Requires run_state == RUNNING. Returns the core's one
+        StepResult, valid until the next step."""
         if self.run_state is not RUNNING:
             raise SimError(f"step() while {self.run_state.value}")
-        pc, r, port = self.pc, self.result, self.port
-        block = self._blocks.get(pc)
-        n, f, body = 1, 0, 0  # instructions run, each one's fetch cycles, cycles before the last
-        line = None  # a dispatch makes the one LRU move of pc's line, which must hold the block
-        if budget and not pc & 3 and not port.fabric.trace:  # a traced fetch keeps its MEM line
-            line = port.l15.hit(pc & port.fabric.line_mask, False)
-        try:
-            if line is not None:
-                at = pc - line.addr
-                if block is None or not block[3] or not line.data.startswith(block[0], at):
-                    block = self._blocks[pc] = self._build(pc, line.data[at:], True)
-                shadow = port.fabric.shadow
-                if shadow is None or shadow.startswith(block[0], pc):
-                    starts = block[2]
-                    n = len(starts) if budget > starts[-1] else bisect_left(starts, budget)
-                    port.counts[0] += n  # ifetch_accesses
-                    port.counts[1] += n  # ifetch_hits
+        pc, r, port, blocks = self.pc, self.result, self.port, self._blocks
+        chain = budget and not port.fabric.trace  # a traced fetch keeps its MEM line
+        if chain:
+            hit, mask, counts = port.l15.hit, port.fabric.line_mask, port.counts
+            misses, compared = counts[5], set()  # data misses before the step; the pcs it compared
+        used = fetch = data = 0  # cycles of the chain's blocks so far, its fetch and data part
+        while True:
+            block = blocks.get(pc)
+            line = hit(pc & mask, False) if chain and not pc & 3 else None  # the block's LRU move
+            try:
+                # once per step: until the chain ends, no store or fill changes a line
+                if line is not None and pc not in compared:
+                    at = pc - line.addr
+                    if block is None or not block[3] or not line.data.startswith(block[0], at):
+                        block = blocks[pc] = self._build(pc, line.data[at:], True)
+                    shadow = port.fabric.shadow
+                    if shadow is None or shadow.startswith(block[0], pc):
+                        compared.add(pc)
+                    else:
+                        line = None  # fetch one at a time, up to the word the data check fails on
+                if line is not None:
+                    starts, left = block[2], budget - used
+                    n = len(starts) if left > starts[-1] else bisect_left(starts, left)
+                    counts[0] += n  # ifetch_accesses
+                    counts[1] += n  # ifetch_hits
                     f, body = self.hit_cycles, starts[n - 1]
                 else:
-                    line = None  # fetch one at a time, up to the word the data check fails on
-            if line is None:
-                if pc & 0x3:
-                    raise _Trap(f"misaligned fetch 0x{pc:08x}")
-                try:
-                    word, f = port.fetch(pc)
-                except MemoryFault as fault:
-                    raise _Trap(f"fetch fault: {fault}") from fault
-                code = word.to_bytes(4, "little")
-                if block is None or not block[0].startswith(code):
-                    block = self._blocks[pc] = self._build(pc, code, False)
-            steps = block[1]
-            if n > 1:
-                regs = self.regs
-                for handler, _ in steps[: n - 1]:  # straight-line: none traps or jumps
-                    handler(self, pc, 0)
-                    regs[0] = 0
-                    pc += 4
-                self.cycle_counter += body  # so the last one's CSR read or trap sees it
-                self.instret += n - 1
-            handler, e_cycles = steps[n - 1]
-            r.data_cycles = 0  # a load or store handler sets its own
-            cycles = f + e_cycles
-            next_pc = handler(self, pc, cycles)
-        except _Trap as trap:
-            self.run_state, self.halt_reason = HALTED, f"trap: {trap.reason} @pc=0x{pc:08x}"
-            next_pc, cycles, e_cycles, r.data_cycles = pc, trap.cycles, trap.cycles - f, 0
-        else:
-            self.instret += 1
-        self.regs[0] = 0
-        self.pc = next_pc & M32
-        cycles += r.data_cycles
-        self.cycle_counter += cycles
-        r.cycles, r.fetch_cycles, r.exec_cycles = body + cycles, n * f, body + f + e_cycles - n * f
-        r.last_start = body
+                    n, f, body = 1, 0, 0  # instructions run, each one's fetch, cycles before last
+                    if pc & 0x3:
+                        raise _Trap(f"misaligned fetch 0x{pc:08x}")
+                    try:
+                        word, f = port.fetch(pc)
+                    except MemoryFault as fault:
+                        raise _Trap(f"fetch fault: {fault}") from fault
+                    code = word.to_bytes(4, "little")
+                    if block is None or not block[0].startswith(code):
+                        block = blocks[pc] = self._build(pc, code, False)
+                steps = block[1]
+                if n > 1:
+                    regs = self.regs
+                    for handler, _ in steps[: n - 1]:  # straight-line: none traps or jumps
+                        handler(self, pc, 0)
+                        regs[0] = 0
+                        pc += 4
+                    self.cycle_counter += body  # so the last one's CSR read or trap sees it
+                    self.instret += n - 1
+                handler, e_cycles = steps[n - 1]
+                r.data_cycles = 0  # a load or store handler sets its own
+                cycles = f + e_cycles
+                pc_next = handler(self, pc, cycles)
+            except _Trap as trap:
+                self.run_state, self.halt_reason = HALTED, f"trap: {trap.reason} @pc=0x{pc:08x}"
+                pc_next, cycles, r.data_cycles = pc, trap.cycles, 0
+                line = None  # a trap ends the chain
+            else:
+                self.instret += 1
+            self.regs[0] = 0
+            pc = pc_next & M32
+            d = r.data_cycles
+            cycles += d
+            self.cycle_counter += cycles
+            fetch, data = fetch + n * f, data + d
+            last = used + body
+            used = last + cycles
+            # a store, a system op, a miss or a fallback may change what a later block must see
+            if line is None or not block[4] or used >= budget or counts[5] != misses:
+                break
+        self.pc = pc
+        r.cycles, r.fetch_cycles, r.data_cycles, r.last_start = used, fetch, data, last
+        r.exec_cycles = used - fetch - data  # the rest: each instruction's execution cycles
         return r
 
     def _build(self, pc: int, code: bytes, whole: bool) -> tuple:
         """The block at pc, decoded from `code`, the bytes from pc to the end
         of its line, or with `whole` false its first instruction alone: (its
         bytes, its (handler, execution cycles) pairs, when each starts after
-        the first if every fetch hits, whole)."""
+        the first if every fetch hits, whole, whether the chain may continue
+        after its last instruction: not after a store, a system op or a trap)."""
         steps, starts, t = [], [], 0
         for at in range(0, len(code) if whole else 4, 4):
             try:
@@ -200,7 +224,8 @@ class Rv32Core:
             t += self.hit_cycles + step[1]
             if insn is None or insn.opclass not in _STRAIGHT_LINE:
                 break
-        return bytes(code[: 4 * len(steps)]), tuple(steps), tuple(starts), whole
+        chains = insn is not None and insn.opclass not in (OpClass.STORE, OpClass.SYSTEM)
+        return bytes(code[: 4 * len(steps)]), tuple(steps), tuple(starts), whole, chains
 
 
 # -- instruction handlers ----------------------------------------------------------
