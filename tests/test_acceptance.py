@@ -24,7 +24,7 @@ import test_insn
 from test_cli import run_cli
 from tilesim import corpus, mailbox as mb
 from tilesim.config import MAILBOX_SIZE
-from tilesim.harness import l15_data_miss_rate, run_isa_suite, run_latency_probe
+from tilesim.harness import l15_data_miss_rate, run_latency_probe
 from tilesim.litmus import Op, TESTS, explore, run_litmus
 from tilesim.machine import Machine
 from tilesim.mem.fabric import FabricPort
@@ -40,9 +40,9 @@ def criterion(number: int, title: str):
     print(f"ACCEPTANCE {number} PASS: {title}")
 
 
-def test_criterion_1_latency_golden_numbers(config):
+def test_criterion_1_latency_golden_numbers(config, probe_no_jitter):
     with criterion(1, "memory latency golden numbers"):
-        exact = run_latency_probe(config, jitter=False)
+        exact = probe_no_jitter
         assert exact.cached_load == 17
         assert exact.cached_store == 17
         assert exact.uncached_load == 113
@@ -55,9 +55,9 @@ def test_criterion_1_latency_golden_numbers(config):
             assert 112 <= value <= 114, value
 
 
-def test_criterion_2_isa_correctness(config):
+def test_criterion_2_isa_correctness(config, isa_suite_report):
     with criterion(2, "ISA correctness (suite 100% + decoder/semantics oracle)"):
-        report = run_isa_suite(config)
+        report = isa_suite_report
         assert report.ok
         assert report.failed == 0 and report.malformed == 0
         assert report.passed == len(report.verdicts) >= 40

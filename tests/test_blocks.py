@@ -138,7 +138,8 @@ msg:
 
 def count_steps(monkeypatch) -> list:
     """Wrap Rv32Core.step; the list gets (pc, budget, instructions retired,
-    block length) for each call, the length read from the block the step ran."""
+    block length) for each call, the length read from the step's first block.
+    A step runs a chain of blocks, so it may retire more than that length."""
     step, calls = Rv32Core.step, []
 
     def counted(core, budget=None):
@@ -180,7 +181,9 @@ def test_store_over_a_later_word_of_the_blocks_line_runs_the_new_word(trace, che
 def test_x0_written_mid_block_reads_zero_in_the_same_block(monkeypatch):
     calls = count_steps(monkeypatch)
     machine, _ = run_program(X0_MID_BLOCK, trace=False)
-    assert any(budget and n == 4 for _, budget, n, _ in calls)  # addi, addi, add, addi
+    go = build(X0_MID_BLOCK, MachineConfig())[1]["go"]
+    # a step whose first block is go's addi, addi, add, addi ran all four
+    assert (go, 4) in [(pc, length) for pc, budget, n, length in calls if budget and n >= length]
     assert machine.guest.core.regs[6:8] == [7, 0]
 
 
@@ -279,3 +282,206 @@ def test_untraced_quicksort_runs_blocks(monkeypatch):
     stats = machine.run()
     assert machine.exit_status == 0
     assert len(calls) < 0.75 * stats["guest_instructions"]
+
+
+# -- chains: one step runs blocks back to back -----------------------------------------
+
+# Eight passes over one word: after the first pass's miss every load hits, so
+# the last seven passes run in one step, up to the first fetch past the loop.
+LOAD_HIT_LOOP = """
+_start:
+    la   x10, data
+    li   x9, 8
+    j    loop
+    .balign 16
+loop:
+    lw   x6, 0(x10)
+    add  x5, x5, x6
+    addi x9, x9, -1
+    bnez x9, loop
+    li   x1, 1
+    la   x2, tohost
+    sw   x1, 0(x2)
+self_loop:
+    j    self_loop
+    .balign 16
+data:
+    .word 3
+tohost:
+    .word 0
+"""
+
+# Each pass loads from a line it has not touched (a miss), stores to a line it
+# holds Modified after the first pass (a hit) and reads the counter; each of
+# the three ends its step.
+CHAIN_ENDS = """
+_start:
+    la   x10, fresh
+    la   x11, scratch
+    li   x9, 4
+    j    loop
+    .balign 16
+loop:
+    lw   x6, 0(x10)
+    addi x10, x10, 16
+store:
+    sw   x6, 0(x11)
+    addi x7, x7, 1
+csr:
+    rdcycle x8
+    addi x9, x9, -1
+    bnez x9, loop
+    li   x1, 1
+    la   x2, tohost
+    sw   x1, 0(x2)
+self_loop:
+    j    self_loop
+    .balign 16
+tohost:
+    .word 0
+    .balign 16
+scratch:
+    .word 0
+    .balign 16
+fresh:
+    .word 1, 2, 3, 4
+    .word 5, 6, 7, 8
+    .word 9, 10, 11, 12
+    .word 13, 14, 15, 16
+"""
+
+# Each pass stores, which ends its step, so every step after the first pass
+# starts at `next` and chains through `loop`, whose block an earlier step has
+# already compared.
+STORE_EACH_PASS = """
+_start:
+    la   x10, scratch
+    li   x9, 4
+    j    loop
+    .balign 16
+loop:
+    addi x6, x6, 1
+    sw   x6, 0(x10)
+next:
+    addi x9, x9, -1
+    bnez x9, loop
+    li   x1, 1
+    la   x2, tohost
+    sw   x1, 0(x2)
+self_loop:
+    j    self_loop
+    .balign 16
+tohost:
+    .word 0
+    .balign 16
+scratch:
+    .word 0
+"""
+
+# The loop's line A shares its L1.5 set (4 ways, 2 KB apart) with the three
+# lines it loads from, B, C and D; after the loop a load from E, a fifth line
+# of the set, evicts the least recent of them and a load from B follows. From
+# the third pass on a chain dispatches every block of the loop again, and only
+# the LRU move each of those makes keeps A more recent than B, C and D.
+SET_CONFLICT_LOOP = """
+_start:
+    la   x10, loop
+    li   x5, 2048
+    add  x11, x10, x5
+    add  x12, x11, x5
+    add  x13, x12, x5
+    add  x14, x13, x5
+    li   x9, 4
+    j    loop
+    .balign 16
+loop:
+    lw   x6, 0(x11)
+    lw   x7, 0(x12)
+    lw   x8, 0(x13)
+    addi x9, x9, -1
+    bnez x9, loop
+    lw   x6, 0(x14)
+    lw   x6, 0(x11)
+    li   x1, 1
+    la   x2, tohost
+    sw   x1, 0(x2)
+self_loop:
+    j    self_loop
+    .balign 16
+tohost:
+    .word 0
+"""
+
+
+def run_both(source: str, monkeypatch=None) -> tuple[Machine, list]:
+    """The program run untraced, whose steps are counted when `monkeypatch`
+    is given, and then traced: both must give the same stats and registers."""
+    calls = count_steps(monkeypatch) if monkeypatch else []
+    untraced, untraced_stats = run_program(source, trace=False)
+    if monkeypatch:
+        monkeypatch.undo()
+    traced, traced_stats = run_program(source, trace=True)
+    assert untraced_stats == traced_stats
+    assert untraced.guest.core.regs == traced.guest.core.regs
+    return untraced, calls
+
+
+def test_loop_with_load_hits_runs_as_one_step(monkeypatch):
+    machine, calls = run_both(LOAD_HIT_LOOP, monkeypatch)
+    loop = build(LOAD_HIT_LOOP, MachineConfig())[1]["loop"]
+    # after the first pass's miss: 3, 7 passes of 4, and the first instruction
+    # after the loop, whose line is fetched by a miss
+    assert (loop + 4, 3 + 7 * 4 + 1) in [(pc, n) for pc, budget, n, _ in calls if budget]
+    assert machine.guest.core.regs[5] == 8 * 3
+
+
+def test_chain_ends_right_after_a_store_a_data_miss_and_a_csr_read(monkeypatch):
+    """Each step's last instruction: a step ends at pc + 4 of the load, the
+    store or the counter read once per pass, and at no other time."""
+    step, ends = Rv32Core.step, []
+
+    def ending(core, budget=None):
+        result = step(core, budget)
+        ends.append(core.pc)
+        return result
+
+    monkeypatch.setattr(Rv32Core, "step", ending)
+    run_program(CHAIN_ENDS, trace=False)
+    monkeypatch.undo()
+    symbols = build(CHAIN_ENDS, MachineConfig())[1]
+    for label in ("loop", "store", "csr"):
+        assert ends.count(symbols[label] + 4) == 4, label
+    run_both(CHAIN_ENDS)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_a_line_corrupted_at_a_later_step_is_caught_in_the_chain(trace, monkeypatch):
+    """The step that starts at `next` for the second time chains into `loop`,
+    whose line the first such step compared; a flipped bit in the guest's copy
+    of `loop` fails the data check there."""
+    run_both(STORE_EACH_PASS)
+    config = MachineConfig()
+    config.validate()
+    binary, symbols = build(STORE_EACH_PASS, config)
+    machine = Machine(config, binary=binary, trace_path=os.devnull if trace else None)
+    machine.watch_tohost(symbols["tohost"])
+    step, seen = Rv32Core.step, []
+
+    def corrupting(core, budget=None):
+        if core.pc == symbols["next"]:
+            seen.append(core.pc)
+            if len(seen) == 2:  # flip a bit of the guest's copy, not of memory
+                line = machine.fabric.l15[core.port.tile].lookup(symbols["loop"])
+                line.data[0] ^= 0x80
+        return step(core, budget)
+
+    monkeypatch.setattr(Rv32Core, "step", corrupting)
+    with pytest.raises(SimError, match=f"data-value check failed at 0x{symbols['loop']:08x}"):
+        machine.run()
+
+
+def test_repeated_blocks_make_their_lru_moves():
+    """With the code line kept most recent, E evicts B and the load from B misses."""
+    machine, _ = run_both(SET_CONFLICT_LOOP)
+    # B, C and D, then E, B and the tohost store
+    assert machine.stats()[f"l15.tile{machine.guest.tile}.data_misses"] == 3 + 3

@@ -8,9 +8,9 @@ happens (the loader, mailbox results, syscall payloads, whose bytes after the
 first of each line are stored by `byte_hits`) and, after each guest step,
 step the stepper through the instructions the step retired, plus one if it
 trapped, and compare pc, the 32 registers and instret. An untraced step runs
-a straight-line block, so the comparison comes at its end; a traced one runs
-one instruction. A step the core traps on must be one the stepper traps on
-too.
+a chain of straight-line blocks, so the comparison comes at the chain's end;
+a traced one runs one instruction. A step the core traps on must be one the
+stepper traps on too.
 """
 
 import pytest
@@ -27,7 +27,9 @@ from tilesim.rv32.core import HALTED, RUNNING
 
 def lockstep(machine) -> cosim.FlatCpu:
     """Wrap the machine's guest core, the host's port and the fabric; returns
-    the stepper."""
+    the stepper. A chain of blocks ends after a system op, so only a step's
+    last instruction can read the counter, and what it reads is the counter
+    after the step; the stepper runs the step's instructions with that value."""
     core, fabric, port = machine.guest.core, machine.fabric, machine.host.port
     ref = cosim.FlatCpu(len(fabric.dram), machine.config.guest_base)
     host = machine.config.host_tile()

@@ -138,13 +138,30 @@ def test_out_of_bounds_faults():
         guest_port(fabric).load(0xFFFFFF00, 4)
 
 
+def test_a_word_in_a_partial_last_line_faults_at_its_dram_read():
+    """The access fits in a physical map that ends mid-line, but its line does not."""
+    cfg = MachineConfig(dram_size=(1 << 20) + 8, guest_region_size=256 * 1024)
+    cfg.validate()
+    fabric = MemoryFabric(cfg, Noc(cfg.mesh, len(cfg.tiles)))
+    with pytest.raises(MemoryFault, match="0x00100000: beyond the physical map"):
+        guest_port(fabric).load(1 << 20, 4)
+
+
 # -- windows --------------------------------------------------------------------
 
 
 def test_zero_length_window_rejected():
     fabric = make_fabric()
-    with pytest.raises(SimError):
+    with pytest.raises(SimError, match="zero-length shared window rejected"):
         fabric.register_window(0x1000, 0)
+
+
+@pytest.mark.parametrize("base, size", [(-16, 32), ((1 << 20) - 16, 32)])
+def test_window_outside_the_physical_map_rejected(base, size):
+    fabric = make_fabric()
+    with pytest.raises(MemoryFault, match="window outside the physical map"):
+        fabric.register_window(base, size)
+    assert fabric.window == (0, 0)
 
 
 def test_host_port_confined_to_windows():
@@ -304,6 +321,17 @@ def test_data_value_check_finds_dram_written_behind_the_shadow():
     fabric.dram[LINE:LINE + 4] = b"\xff" * 4
     with pytest.raises(SimError, match="data-value check failed at 0x00001000"):
         guest_port(fabric, 1).load(LINE, 4)
+
+
+def test_byte_hits_data_value_check_finds_a_changed_copy():
+    """A run of one-byte loads compares its bytes with the shadow as a load does."""
+    fabric = make_fabric()
+    host = FabricPort(fabric, 0)
+    host.store(LINE, 4, 0x04030201)
+    assert fabric.byte_hits(0, LINE, 4, now=0) == (b"\x01\x02\x03\x04", 4 * 4)
+    fabric.l15[0].lookup(LINE).data[2] ^= 0xFF
+    with pytest.raises(SimError, match="data-value check failed at 0x00001001: read 02fc"):
+        fabric.byte_hits(0, LINE + 1, 2, now=0)
 
 
 def test_directory_finds_an_owner_that_re_requests_modified():

@@ -116,9 +116,9 @@ def test_start_schedule_on_layout_matches_golden(layout, runs):
     assert got == load_golden("layouts.json")[layout]
 
 
-def test_latency_probe_matches_golden():
+def test_latency_probe_matches_golden(probe_no_jitter):
     golden = load_golden("probe.json")
-    assert run_latency_probe(MachineConfig(seed=0), jitter=False).lines() == golden["no_jitter"]
+    assert probe_no_jitter.lines() == golden["no_jitter"]
     jittered = run_latency_probe(MachineConfig(seed=0), jitter=True, trials=8)
     assert {"loads": jittered.uncached_load_trials,
             "stores": jittered.uncached_store_trials} == golden["jitter_seed0_trials8"]

@@ -6,8 +6,8 @@ from tilesim.elf import program_to_elf
 from tilesim.harness import run_isa_suite, run_isa_test, _suite_config
 
 
-def test_bundled_suite_passes_100_percent(config):
-    report = run_isa_suite(config)
+def test_bundled_suite_passes_100_percent(isa_suite_report):
+    report = isa_suite_report
     failed = [v for v in report.verdicts if v.outcome != "pass"]
     assert not failed, "\n".join(f"{v.name}: {v.detail}" for v in failed)
     assert report.passed == len(report.verdicts)

@@ -154,20 +154,28 @@ def test_interrupt_wakes_guest_after_routed_delay():
     assert machine.exit_status == 0
 
 
-def test_2x2_mesh_with_idle_extra_guest(tmp_path):
-    """Tiles beyond the first guest stay in reset; the run is unaffected."""
-    from tilesim.config import MeshConfig
+@pytest.fixture(scope="module")
+def hello_on(tmp_path_factory):
+    """hello on small_config with one of LAYOUTS, run once per layout:
+    hello_on(layout) -> (machine, stats)."""
+    done = {}
 
-    cfg = MachineConfig(
-        mesh=MeshConfig(width=2, height=2),
-        tiles=["host-agent", "guest-rv32", "guest-rv32"],
-        guest_region_size=256 * 1024,
-        dram_size=2 * 1024 * 1024,
-        stack_size=16 * 1024,
-    )
-    cfg.validate()
-    machine = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path))
-    stats = machine.run()
+    def run(layout):
+        if layout not in done:
+            cfg = small_config(**LAYOUTS[layout])
+            sandbox = str(tmp_path_factory.mktemp(layout))
+            machine = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=sandbox)
+            done[layout] = machine, machine.run()
+        return done[layout]
+
+    return run
+
+
+def test_2x2_mesh_with_idle_extra_guest(hello_on):
+    """Tiles beyond the first guest stay in reset; the run is unaffected."""
+    machine, stats = hello_on("2x2-idle-guest")
+    assert machine.config.mesh == MeshConfig(width=2, height=2)
+    assert machine.config.tiles == ["host-agent", "guest-rv32", "guest-rv32"]
     assert stats["exit_status"] == 0
     assert bytes(machine.stdout_data) == b"hello\n"
     assert machine.guest.tile == 1  # the only guest agent: tile 2 runs nothing
@@ -203,10 +211,9 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_stats_keys_match_the_documented_schema(layout, tmp_path):
-    cfg = small_config(**LAYOUTS[layout])
-    stats = Machine(cfg, binary=corpus.hello_elf(cfg), sandbox_dir=str(tmp_path)).run()
-    assert set(stats.counters) == documented_stats_keys(len(cfg.tiles))
+def test_stats_keys_match_the_documented_schema(layout, hello_on):
+    machine, stats = hello_on(layout)
+    assert set(stats.counters) == documented_stats_keys(len(machine.config.tiles))
 
 
 def test_mailbox_address_agrees_everywhere(tmp_path):
