@@ -1,11 +1,13 @@
-"""Block dispatch: an untraced guest step runs a straight-line block.
+"""Block dispatch: an untraced guest step runs a chain of straight-line blocks.
 
-`Rv32Core.step(budget)` runs the instructions from the pc to the first load,
-store, branch, jump or system op, or to the end of the line, stopping before
-any that would start `budget` or more cycles after the first; `Machine.run`
-bounds it by the host's next step and by the cycle limit. A traced run steps
-one instruction at a time, so it is the reference here: a block must change
-nothing that a single step would not.
+A block runs the instructions from a pc to the first load, store, branch, jump
+or system op, or to the end of the line. `Rv32Core.step(budget)` runs blocks
+back to back until a store, a system op, a trap, an L1.5 miss or a
+single-instruction fallback, stopping before any instruction that would start
+`budget` or more cycles after the first; `Machine.run` bounds it by the host's
+next step and by the cycle limit. A traced run steps one instruction at a
+time, so it is the reference here: a chain must change nothing that single
+steps would not.
 """
 
 import os
